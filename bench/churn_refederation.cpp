@@ -18,15 +18,15 @@
 //   * a thresholds-disabled run is not pure observation (flow unchanged,
 //     zero alerts).
 //
-// The routing-maintenance series (PR 8) measures the other half of agility:
-// keeping the shortest-widest database current under churn.  A fully
-// precomputed database over an N=100 overlay absorbs a long trajectory of
+// The routing-maintenance series measures the other half of agility:
+// keeping the shortest-widest database current under churn.  Fully
+// precomputed databases over an N=100 overlay absorb a long trajectory of
 // single-link insert/remove/reweight events through apply_link_* (dirty-set
-// invalidation, threshold fallback disabled) while a from-scratch rebuild
-// runs beside it for every event; recompute time and dirty-set size are
-// recorded per event, and the maintained database is diffed bit-for-bit —
-// all-pairs qualities AND paths — against the rebuild after every event
-// (always, not only under --smoke: divergence exits non-zero).  The closed
+// invalidation, repair on query) while a from-scratch rebuild runs beside
+// them for every event; repair cost and work are recorded per event, and
+// the maintained databases are diffed bit-for-bit — all-pairs qualities AND
+// paths — against the rebuild after every event (always, not only under
+// --smoke: divergence exits non-zero).  The closed
 // loop additionally re-runs each trial with only the *warm pre-churn*
 // database (config.pre_churn_routing), which must repair through
 // core::retarget_routing's incremental clone-and-diff path and produce the
@@ -408,24 +408,22 @@ int main(int argc, char** argv) {
             << trials_with_damage << " with flow-level damage, "
             << trials_detected << " repaired through the loop\n";
 
-  // --- Routing maintenance under single-link churn (PR 8 + PR 10) ----------
+  // --- Routing maintenance under single-link churn -------------------------
   //
-  // Three fully precomputed databases over an N=100 overlay absorb the same
-  // trajectory of single-link events in lockstep:
-  //   eager     serial re-sweeps on apply (the PR 8 configuration, sharpened
-  //             by per-width-class salvage floors),
-  //   parallel  the same eager repairs fanned over a 4-thread pool,
-  //   lazy      repairs deferred to first query; each event is charged its
-  //             apply cost plus the first kLazyQueries queried sources.
+  // Two fully precomputed databases over an N=100 overlay absorb the same
+  // trajectory of single-link events in lockstep; each event is charged
+  //   lazy        its apply plus the first kLazyQueries queried sources —
+  //               what a consumer that touches few trees per event waits for,
+  //   repair-all  its apply plus precompute_all over a kRepairThreads pool —
+  //               every stale tree repaired before the next query.
   // A from-scratch rebuild (construct + precompute over the live link set)
   // runs beside them for every event, both for the timing comparison and as
-  // the bit-identity oracle for all three databases.  The series is
-  // tail-focused — p90/p99/max, not just medians — because the point of the
-  // sharpened salvage is the worst events, and `rounds_swept_baseline`
-  // replays the PR 8 widths-unchanged salvage policy on the same events so
-  // the re-sweep-work reduction is measured, not assumed.
+  // the bit-identity oracle for both databases.  The series is tail-focused
+  // (p90/p99/max, not just medians), and the repair-all pass's work — trees
+  // repaired, class rounds salvaged, arcs relaxed — is read from the routing
+  // counters around it.
   constexpr std::size_t kRoutingNetworkSize = 100;
-  constexpr std::size_t kUpdateThreads = 4;
+  constexpr std::size_t kRepairThreads = 4;
   constexpr std::size_t kLazyQueries = 4;
   const std::size_t routing_events = smoke ? 40 : 500;
 
@@ -437,33 +435,28 @@ int main(int argc, char** argv) {
   const core::Scenario routing_scenario =
       core::make_scenario(routing_params, util::derive_seed(31337, 0x0A11));
 
-  graph::AllPairsShortestWidest db(routing_scenario.overlay().graph());
-  graph::AllPairsShortestWidest par_db(
+  graph::AllPairsShortestWidest lazy_db(routing_scenario.overlay().graph());
+  graph::AllPairsShortestWidest all_db(
       graph::Digraph(routing_scenario.overlay().graph()));
-  graph::AllPairsShortestWidest lazy_db(
-      graph::Digraph(routing_scenario.overlay().graph()));
-  util::ThreadPool update_pool(kUpdateThreads);
-  // > 1: every event stays on the dirty path (no threshold fallback).
-  db.set_rebuild_threshold(2.0);
-  par_db.set_rebuild_threshold(2.0);
-  par_db.set_update_pool(&update_pool);
-  lazy_db.set_rebuild_threshold(2.0);
-  lazy_db.set_repair_mode(graph::AllPairsShortestWidest::RepairMode::kLazy);
-  db.precompute_all();
-  par_db.precompute_all(update_pool);
-  lazy_db.precompute_all(update_pool);
+  util::ThreadPool repair_pool(kRepairThreads);
+  lazy_db.precompute_all(repair_pool);
+  all_db.precompute_all(repair_pool);
+
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Counter& repairs = registry.counter("routing_lazy_repairs_total");
+  const obs::Counter& salvaged_rounds =
+      registry.counter("routing_class_rounds_salvaged_total");
+  const obs::Counter& relaxations =
+      registry.counter("routing_edge_relaxations_total");
 
   struct EventRecord {
     LinkEvent::Kind kind;
     std::size_t invalidated = 0;
-    std::size_t partial = 0;
-    std::size_t rounds_swept = 0;
-    std::size_t rounds_salvaged = 0;
-    std::size_t rounds_swept_baseline = 0;
-    std::size_t deferred = 0;
-    double incremental_us = 0.0;
-    double parallel_us = 0.0;
+    std::uint64_t repaired = 0;
+    std::uint64_t rounds_salvaged = 0;
+    std::uint64_t relaxations = 0;
     double lazy_us = 0.0;
+    double repair_all_us = 0.0;
     double rebuild_us = 0.0;
   };
   std::vector<EventRecord> events;
@@ -485,100 +478,80 @@ int main(int argc, char** argv) {
   util::Rng event_rng(util::derive_seed(31337, 0xE0E0));
   util::Rng query_rng(util::derive_seed(31337, 0x9E99));
   for (std::size_t i = 0; i < routing_events; ++i) {
-    const std::optional<LinkEvent> event = draw_link_event(db.graph(), event_rng);
+    const std::optional<LinkEvent> event =
+        draw_link_event(lazy_db.graph(), event_rng);
     if (!event) continue;
 
     EventRecord record;
     record.kind = event->kind;
 
-    util::Stopwatch incremental_watch;
-    const auto stats = apply_to(db, *event);
-    record.incremental_us = incremental_watch.elapsed_us();
-    record.invalidated = stats.invalidated_sources;
-    record.partial = stats.partial_resweeps;
-    record.rounds_swept = stats.rounds_swept;
-    record.rounds_salvaged = stats.rounds_salvaged;
-    record.rounds_swept_baseline = stats.rounds_swept_baseline;
-
-    util::Stopwatch parallel_watch;
-    apply_to(par_db, *event);
-    record.parallel_us = parallel_watch.elapsed_us();
-
-    // Lazy visible cost: the (cheap) apply plus the first kLazyQueries
-    // queried sources — what a consumer that touches few trees per event
-    // actually waits for.  The bit-identity sweep below repairs the rest, so
-    // every event starts from a fully repaired database in all three modes.
     util::Stopwatch lazy_watch;
-    const auto lazy_stats = apply_to(lazy_db, *event);
+    const auto stats = apply_to(lazy_db, *event);
     for (std::size_t q = 0; q < kLazyQueries; ++q)
       lazy_db.tree(static_cast<graph::NodeIndex>(query_rng.uniform_int(
           0, static_cast<std::int64_t>(lazy_db.node_count()) - 1)));
     record.lazy_us = lazy_watch.elapsed_us();
-    record.deferred = lazy_stats.deferred_sources;
+    record.invalidated = stats.invalidated_sources;
+
+    const std::uint64_t repairs_before = repairs.value();
+    const std::uint64_t salvaged_before = salvaged_rounds.value();
+    const std::uint64_t relaxations_before = relaxations.value();
+    util::Stopwatch repair_all_watch;
+    apply_to(all_db, *event);
+    all_db.precompute_all(repair_pool);
+    record.repair_all_us = repair_all_watch.elapsed_us();
+    record.repaired = repairs.value() - repairs_before;
+    record.rounds_salvaged = salvaged_rounds.value() - salvaged_before;
+    record.relaxations = relaxations.value() - relaxations_before;
 
     // From-scratch comparator: everything a rebuild consumer would pay to be
     // query-ready again.  The graph copy stays outside the timer — a real
     // rebuild starts from an overlay it already holds.
-    graph::Digraph fresh_graph = live_graph_copy(db);
+    graph::Digraph fresh_graph = live_graph_copy(all_db);
     util::Stopwatch rebuild_watch;
     const graph::AllPairsShortestWidest fresh(std::move(fresh_graph));
     fresh.precompute_all();
     record.rebuild_us = rebuild_watch.elapsed_us();
 
-    assert_bit_identical(db, fresh, i);
-    assert_bit_identical(par_db, fresh, i);
-    assert_bit_identical(lazy_db, fresh, i);  // repairs every deferred slot
+    assert_bit_identical(all_db, fresh, i);
+    assert_bit_identical(lazy_db, fresh, i);  // repairs every stale slot
     events.push_back(record);
   }
   if (events.empty()) fail("routing series produced no events");
 
-  util::Accumulator incremental_us, parallel_us, lazy_us, rebuild_us;
-  util::Accumulator invalidated, deferred;
-  util::Accumulator swept, salvaged, swept_baseline;
+  util::Accumulator lazy_us, repair_all_us, rebuild_us;
+  util::Accumulator invalidated, repaired, salvaged, relaxed;
   for (const EventRecord& r : events) {
-    incremental_us.add(r.incremental_us);
-    parallel_us.add(r.parallel_us);
     lazy_us.add(r.lazy_us);
+    repair_all_us.add(r.repair_all_us);
     rebuild_us.add(r.rebuild_us);
     invalidated.add(static_cast<double>(r.invalidated));
-    deferred.add(static_cast<double>(r.deferred));
-    swept.add(static_cast<double>(r.rounds_swept));
+    repaired.add(static_cast<double>(r.repaired));
     salvaged.add(static_cast<double>(r.rounds_salvaged));
-    swept_baseline.add(static_cast<double>(r.rounds_swept_baseline));
+    relaxed.add(static_cast<double>(r.relaxations));
   }
-  const TailSummary inc_t = tail(incremental_us);
-  const TailSummary par_t = tail(parallel_us);
   const TailSummary lazy_t = tail(lazy_us);
+  const TailSummary all_t = tail(repair_all_us);
   const TailSummary reb_t = tail(rebuild_us);
-  const TailSummary swept_t = tail(swept);
-  const TailSummary baseline_t = tail(swept_baseline);
   const double median_speedup =
-      inc_t.median > 0.0 ? reb_t.median / inc_t.median : 0.0;
-  // The acceptance ratio: p90 of the re-sweep work (class rounds actually
-  // re-run) under the sharpened salvage vs the PR 8 policy on the same
-  // events.
-  const double resweep_work_p90_ratio =
-      swept_t.p90 > 0.0 ? baseline_t.p90 / swept_t.p90 : 0.0;
+      all_t.median > 0.0 ? reb_t.median / all_t.median : 0.0;
 
   std::cout << "\nrouting maintenance (N=" << kRoutingNetworkSize << ", "
-            << events.size() << " single-link events, every event diffed "
-            << "bit-for-bit against a from-scratch rebuild in all three "
-            << "repair modes):\n"
-            << "  eager update us:        " << inc_t << "\n"
-            << "  parallel(" << kUpdateThreads << ") update us:  " << par_t
+            << events.size() << " single-link events, both databases diffed "
+            << "bit-for-bit against a from-scratch rebuild after every "
+            << "event):\n"
+            << "  apply+" << kLazyQueries << "-query us:         " << lazy_t
             << "\n"
-            << "  lazy apply+" << kLazyQueries << "-query us: " << lazy_t
+            << "  apply+repair-all(" << kRepairThreads << ") us:   " << all_t
             << "\n"
-            << "  full rebuild us:        " << reb_t << "\n"
-            << "  median speedup:         " << median_speedup << "x\n"
-            << "  invalidated trees:      " << tail(invalidated) << " of "
-            << db.node_count() << "\n"
-            << "  deferred (lazy):        " << tail(deferred) << "\n"
-            << "  class rounds re-swept:  " << swept_t << "\n"
-            << "  rounds, PR 8 policy:    " << baseline_t << "\n"
-            << "  rounds salvaged:        " << tail(salvaged) << "\n"
-            << "  p90 re-sweep work:      " << resweep_work_p90_ratio
-            << "x less than the widths-unchanged salvage policy\n";
+            << "  full rebuild us:          " << reb_t << "\n"
+            << "  median speedup:           " << median_speedup
+            << "x (rebuild / repair-all)\n"
+            << "  invalidated trees:        " << tail(invalidated) << " of "
+            << all_db.node_count() << "\n"
+            << "  trees repaired:           " << tail(repaired) << "\n"
+            << "  class rounds salvaged:    " << tail(salvaged) << "\n"
+            << "  arcs relaxed:             " << tail(relaxed) << "\n";
 
   if (!routing_json_path.empty()) {
     std::ofstream out(routing_json_path);
@@ -595,45 +568,38 @@ int main(int argc, char** argv) {
     out << "{\n"
         << "  \"bench\": \"churn_refederation\",\n"
         << "  \"section\": \"routing_maintenance\",\n"
-        << "  \"schema_version\": 2,\n"
+        << "  \"schema_version\": 3,\n"
         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
         << "  \"network_size\": " << kRoutingNetworkSize << ",\n"
-        << "  \"source_trees\": " << db.node_count() << ",\n"
+        << "  \"source_trees\": " << all_db.node_count() << ",\n"
         << "  \"events\": " << events.size() << ",\n"
         << "  \"event_counts\": {\"insert\": " << inserts << ", \"remove\": "
         << removes << ", \"reweight\": " << reweights << "},\n"
-        << "  \"update_threads\": " << kUpdateThreads << ",\n"
+        << "  \"repair_threads\": " << kRepairThreads << ",\n"
         << "  \"lazy_queries_per_event\": " << kLazyQueries << ",\n";
-    json_tail(out, "incremental_us", inc_t);
-    out << ",\n";
-    json_tail(out, "parallel_us", par_t);
-    out << ",\n";
     json_tail(out, "lazy_us", lazy_t);
+    out << ",\n";
+    json_tail(out, "repair_all_us", all_t);
     out << ",\n";
     json_tail(out, "rebuild_us", reb_t);
     out << ",\n  \"median_speedup\": " << median_speedup << ",\n";
     json_tail(out, "invalidated_sources", tail(invalidated));
     out << ",\n";
-    json_tail(out, "deferred_sources", tail(deferred));
-    out << ",\n";
-    json_tail(out, "rounds_swept", swept_t);
-    out << ",\n";
-    json_tail(out, "rounds_swept_baseline", baseline_t);
+    json_tail(out, "repaired_sources", tail(repaired));
     out << ",\n";
     json_tail(out, "rounds_salvaged", tail(salvaged));
-    out << ",\n  \"resweep_work_p90_ratio\": " << resweep_work_p90_ratio
-        << ",\n  \"per_event\": [";
+    out << ",\n";
+    json_tail(out, "relaxations", tail(relaxed));
+    out << ",\n  \"per_event\": [";
     for (std::size_t i = 0; i < events.size(); ++i) {
       const EventRecord& r = events[i];
       out << (i == 0 ? "" : ",") << "\n    {\"kind\": \"" << kind_name(r.kind)
-          << "\", \"invalidated\": " << r.invalidated << ", \"partial\": "
-          << r.partial << ", \"rounds_swept\": " << r.rounds_swept
+          << "\", \"invalidated\": " << r.invalidated
+          << ", \"repaired\": " << r.repaired
           << ", \"rounds_salvaged\": " << r.rounds_salvaged
-          << ", \"rounds_swept_baseline\": " << r.rounds_swept_baseline
-          << ", \"deferred\": " << r.deferred
-          << ", \"incremental_us\": " << r.incremental_us
-          << ", \"parallel_us\": " << r.parallel_us
+          << ", \"relaxations\": " << r.relaxations
           << ", \"lazy_us\": " << r.lazy_us
+          << ", \"repair_all_us\": " << r.repair_all_us
           << ", \"rebuild_us\": " << r.rebuild_us << "}";
     }
     out << "\n  ]\n}\n";

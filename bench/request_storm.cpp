@@ -43,6 +43,7 @@
 #include "server/hosting.hpp"
 #include "server/server.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -143,13 +144,6 @@ void receiver_loop(int fd, std::size_t expected,
   }
 }
 
-double percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
-}
-
 int run_storm(const StormOptions& options) {
   std::signal(SIGPIPE, SIG_IGN);
 
@@ -200,21 +194,20 @@ int run_storm(const StormOptions& options) {
   daemon.stop();
   for (const int fd : client_fds) ::close(fd);
 
-  std::vector<double> latency;
+  util::Accumulator latency;
   std::size_t admitted = 0, rejected = 0, errors = 0;
   for (const ClientRecord& record : records) {
-    latency.insert(latency.end(), record.latency_ms.begin(),
-                   record.latency_ms.end());
+    for (const double ms : record.latency_ms) latency.add(ms);
     admitted += record.admitted;
     rejected += record.rejected;
     errors += record.errors;
   }
-  std::sort(latency.begin(), latency.end());
-  const std::size_t responses = latency.size();
+  // Nearest-rank percentile (p in 0..100); an empty stream reports 0.
+  const auto percentile = [&latency](double p) {
+    return latency.empty() ? 0.0 : latency.percentile(p);
+  };
+  const std::size_t responses = latency.count();
   const std::size_t expected = options.clients * options.requests_per_client;
-  double mean = 0.0;
-  for (const double v : latency) mean += v;
-  if (!latency.empty()) mean /= static_cast<double>(latency.size());
 
   int failures = 0;
   const auto fail = [&failures](const std::string& what) {
@@ -264,11 +257,9 @@ int run_storm(const StormOptions& options) {
             << "  responses " << responses << ", admitted " << admitted
             << " (acceptance " << acceptance << "), wall " << wall_ms
             << " ms\n"
-            << "  latency ms: p50 " << percentile(latency, 0.50) << "  p90 "
-            << percentile(latency, 0.90) << "  p99 "
-            << percentile(latency, 0.99) << "  p999 "
-            << percentile(latency, 0.999) << "  max "
-            << (latency.empty() ? 0.0 : latency.back()) << "\n"
+            << "  latency ms: p50 " << percentile(50.0) << "  p90 "
+            << percentile(90.0) << "  p99 " << percentile(99.0) << "  p999 "
+            << percentile(99.9) << "  max " << percentile(100.0) << "\n"
             << "  replay " << (replay_identical ? "bit-identical" : "DIVERGED")
             << ", conservation " << (conservation.ok() ? "ok" : "VIOLATED")
             << "\n";
@@ -299,12 +290,12 @@ int run_storm(const StormOptions& options) {
         << (wall_ms > 0 ? static_cast<double>(responses) / (wall_ms / 1000.0)
                         : 0.0)
         << ",\n"
-        << "  \"latency_ms\": {\"p50\": " << percentile(latency, 0.50)
-        << ", \"p90\": " << percentile(latency, 0.90)
-        << ", \"p99\": " << percentile(latency, 0.99)
-        << ", \"p999\": " << percentile(latency, 0.999)
-        << ", \"max\": " << (latency.empty() ? 0.0 : latency.back())
-        << ", \"mean\": " << mean << "},\n"
+        << "  \"latency_ms\": {\"p50\": " << percentile(50.0)
+        << ", \"p90\": " << percentile(90.0)
+        << ", \"p99\": " << percentile(99.0)
+        << ", \"p999\": " << percentile(99.9)
+        << ", \"max\": " << percentile(100.0)
+        << ", \"mean\": " << (latency.empty() ? 0.0 : latency.mean()) << "},\n"
         << "  \"replay_identical\": " << (replay_identical ? "true" : "false")
         << ",\n  \"conservation_ok\": "
         << (conservation.ok() ? "true" : "false") << ",\n  \"metrics\": "

@@ -185,8 +185,7 @@ RefederationResult refederate(const OverlayGraph& old_overlay,
 RetargetedRouting retarget_routing(
     const graph::AllPairsShortestWidest& warm,
     const overlay::OverlayGraph& warm_overlay,
-    const overlay::OverlayGraph& target,
-    graph::AllPairsShortestWidest::RepairMode mode) {
+    const overlay::OverlayGraph& target) {
   RetargetedRouting result;
 
   // Overlay indices are only comparable across the two overlays when every
@@ -212,7 +211,6 @@ RetargetedRouting retarget_routing(
   if (!roster_unchanged) {
     result.routing =
         std::make_unique<graph::AllPairsShortestWidest>(target.graph());
-    result.routing->set_repair_mode(mode);
     obs::Registry::global()
         .counter("routing_full_rebuilds_total",
                  "routing database rebuilds that could not stay incremental")
@@ -221,7 +219,6 @@ RetargetedRouting retarget_routing(
   }
 
   result.routing = warm.clone();
-  result.routing->set_repair_mode(mode);
   result.diff = graph::apply_graph_diff(*result.routing, target.graph());
   result.incremental = true;
   return result;

@@ -115,16 +115,13 @@ struct RetargetedRouting {
 /// the source trees each event can touch.  When the roster changed — any
 /// index hosts a different (sid, nid) — overlay indices are not comparable
 /// and a fresh lazy database over target.graph() is returned instead.  The
-/// returned database repairs invalidated trees per `mode` (eager re-sweeps
-/// during the diff, or lazy stamping with query-time repair — the diff then
-/// costs O(predicate) and queries pay only for the sources they touch).  The
-/// result answers every query bit-identically to a from-scratch build
-/// (asserted by bench/churn_refederation --smoke).
+/// diff only stamps invalidated trees stale, so it costs O(predicate) and
+/// queries pay only for the sources they touch.  The result answers every
+/// query bit-identically to a from-scratch build (asserted by
+/// bench/churn_refederation --smoke).
 RetargetedRouting retarget_routing(
     const graph::AllPairsShortestWidest& warm,
     const overlay::OverlayGraph& warm_overlay,
-    const overlay::OverlayGraph& target,
-    graph::AllPairsShortestWidest::RepairMode mode =
-        graph::AllPairsShortestWidest::RepairMode::kEager);
+    const overlay::OverlayGraph& target);
 
 }  // namespace sflow::core

@@ -54,11 +54,11 @@ struct ProtocolMetrics {
       "protocol_messages_total", "simulated protocol messages delivered");
   obs::Counter& protocol_bytes = obs::Registry::global().counter(
       "protocol_payload_bytes_total", "simulated protocol bytes delivered");
-  /// Host-side bytes actually deep-copied for payloads: every dispatch in
-  /// copy_payloads mode, only copy-on-write clones in zero-copy mode.
+  /// Host-side bytes actually deep-copied for payloads: copy-on-write clones
+  /// of a snapshot that in-flight payloads still share.
   obs::Counter& payload_copy_bytes = obs::Registry::global().counter(
       "payload_physical_copy_bytes_total",
-      "payload bytes physically deep-copied (copy-mode sends + COW clones)");
+      "payload bytes physically deep-copied (COW clones)");
 };
 
 ProtocolMetrics& metrics() {
@@ -305,13 +305,7 @@ SFlowFederationResult run_sflow_federation(
       [&](OverlayIndex self, Sid sid, OverlayIndex target) {
         const net::Nid self_nid = overlay.instance(self).nid;
         NodeState& state = states[self_nid];
-        Payload out{original, nullptr};
-        if (config.copy_payloads) {
-          counters.payload_copy_bytes.add(estimate_size(*original, *state.snap));
-          out.state = std::make_shared<const Snapshot>(*state.snap);
-        } else {
-          out.state = state.snap;  // shared; the sender clones on write
-        }
+        Payload out{original, state.snap};  // shared; the sender clones on write
         const std::size_t size = estimate_size(*original, *out.state);
         const net::Nid target_nid = overlay.instance(target).nid;
         counters.sfederate_messages.increment();

@@ -43,11 +43,6 @@ struct SFlowNodeConfig {
   RequirementSolver::Options solver;
   /// When set, overrides the default neighbourhood view.
   LocalViewProvider view_provider;
-  /// Deep-copy every sfederate payload instead of sharing immutable
-  /// snapshots (the pre-zero-copy behaviour).  Wire sizes, message flow and
-  /// outcomes are identical either way — this is the before/after switch of
-  /// bench/federation_kernel.cpp, not a semantic knob.
-  bool copy_payloads = false;
 };
 
 /// What one node contributes to the federation.

@@ -43,15 +43,12 @@ struct RoutingMetrics {
   obs::Counter& dirty_sources = obs::Registry::global().counter(
       "routing_dirty_sources_total",
       "source trees invalidated by incremental link events");
-  obs::Counter& full_rebuilds = obs::Registry::global().counter(
-      "routing_full_rebuilds_total",
-      "routing database rebuilds that could not stay incremental");
   obs::Counter& rounds_salvaged = obs::Registry::global().counter(
       "routing_class_rounds_salvaged_total",
       "width-class rounds copied wholesale by incremental re-sweeps");
   obs::Counter& lazy_repairs = obs::Registry::global().counter(
       "routing_lazy_repairs_total",
-      "stale source trees repaired on first query (lazy repair mode)");
+      "stale source trees repaired on first query");
   obs::Histogram& resweep_us = obs::Registry::global().histogram(
       "routing_resweep_us",
       {10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
@@ -535,18 +532,9 @@ PathQuality path_quality(const Digraph& g, std::span<const NodeIndex> path) {
   return q;
 }
 
-struct AllPairsShortestWidest::ResweepOutcome {
-  std::size_t rounds_swept = 0;
-  std::size_t rounds_salvaged = 0;
-  std::size_t rounds_swept_baseline = 0;
-  std::uint64_t relaxations = 0;
-  bool partial = false;
-};
-
 namespace {
 
 using PendingEvent = AllPairsShortestWidest::PendingEvent;
-using ResweepOutcome = AllPairsShortestWidest::ResweepOutcome;
 
 /// Most pending events a stale slot keeps before collapsing to
 /// pending_overflow (forget the list, full re-sweep at repair time).
@@ -588,7 +576,7 @@ constexpr LinkMetrics kAbsentArc{0.0, std::numeric_limits<double>::infinity()};
 /// round table (compatibility constructor) simply re-run everything.
 RoutingTree resweep_source(const CsrView& csr, const RoutingTree& old,
                            std::span<const PendingEvent> events,
-                           RoutingWorkspace& ws, ResweepOutcome& out) {
+                           RoutingWorkspace& ws) {
   const util::Stopwatch resweep_watch;
   const NodeIndex source = old.source();
   const std::size_t n = csr.node_count();
@@ -610,9 +598,7 @@ RoutingTree resweep_source(const CsrView& csr, const RoutingTree& old,
         std::max(salvage_floor, std::min(std::max(w_old, w_new), event.cap()));
   }
 
-  // What the pre-sharpening policy would have re-run: everything, unless
-  // every width label survived (then rounds <= min(W_new(s,u), cap) for its
-  // single event).  Kept purely for the bench's before/after work series.
+  // Band salvage (below) needs every width label intact.
   bool widths_unchanged = true;
   for (std::size_t v = 0; v < n; ++v) {
     if (static_cast<NodeIndex>(v) == source) continue;
@@ -620,14 +606,6 @@ RoutingTree resweep_source(const CsrView& csr, const RoutingTree& old,
       widths_unchanged = false;
       break;
     }
-  }
-  double baseline_floor = 0.0;
-  if (widths_unchanged && events.size() == 1) {
-    const double width_to_u =
-        events[0].via == source
-            ? kInf
-            : ws.width[static_cast<std::size_t>(events[0].via)];
-    baseline_floor = std::min(width_to_u, events[0].cap());
   }
 
   // Salvageable prefix of the old round table: rounds strictly above the
@@ -804,18 +782,6 @@ RoutingTree resweep_source(const CsrView& csr, const RoutingTree& old,
                                   arena, rounds);
   }
 
-  out.rounds_salvaged = salvaged_rounds;
-  out.rounds_swept = rounds.size() - salvaged_rounds;
-  out.rounds_swept_baseline = rounds.size();
-  if (baseline_floor > 0.0 || (widths_unchanged && events.size() == 1)) {
-    std::size_t above = 0;
-    while (above < rounds.size() && rounds[above].width > baseline_floor)
-      ++above;
-    out.rounds_swept_baseline = rounds.size() - above;
-  }
-  out.relaxations = scanned;
-  out.partial = salvaged_rounds > 0;
-
   RoutingTree tree(source, std::move(qualities), std::move(arena),
                    std::move(offsets), std::move(lengths), std::move(rounds));
   RoutingMetrics& metrics = routing_metrics();
@@ -843,16 +809,23 @@ const RoutingTree& AllPairsShortestWidest::tree(NodeIndex from) const {
   if (const RoutingTree* published = slot.published.load(std::memory_order_relaxed))
     return *published;  // lost the build race; the winner published under the lock
   if (slot.stale) {
-    // Lazy repair on first touch: same salvage path as an eager event, floor
-    // taken jointly over every event pending on this slot.  Concurrent
-    // queries of the same stale source serialize on the build mutex and the
-    // loser returns through the double-check above.
-    ResweepOutcome out;
-    repair_slot_locked(slot, thread_workspace(), out);
+    // Repair on first touch, salvage floor taken jointly over every event
+    // pending on this slot.  Concurrent queries of the same stale source
+    // serialize on the build mutex and the loser returns through the
+    // double-check above.
+    const std::span<const PendingEvent> events =
+        slot.pending_overflow ? std::span<const PendingEvent>()
+                              : std::span<const PendingEvent>(slot.pending);
+    slot.owned = std::make_unique<const RoutingTree>(
+        resweep_source(csr_, *slot.owned, events, thread_workspace()));
+    slot.stale = false;
+    slot.pending_overflow = false;
+    slot.pending.clear();
     metrics.lazy_repairs.increment();
-    return *slot.owned;
+  } else {
+    slot.owned =
+        std::make_unique<const RoutingTree>(shortest_widest_tree(csr_, from));
   }
-  slot.owned = std::make_unique<const RoutingTree>(shortest_widest_tree(csr_, from));
   slot.published.store(slot.owned.get(), std::memory_order_release);
   return *slot.owned;
 }
@@ -887,19 +860,6 @@ void AllPairsShortestWidest::note_pending(Slot& slot, NodeIndex via,
                           new_metrics.latency});
 }
 
-void AllPairsShortestWidest::repair_slot_locked(Slot& slot, RoutingWorkspace& ws,
-                                                ResweepOutcome& out) const {
-  const std::span<const PendingEvent> events =
-      slot.pending_overflow ? std::span<const PendingEvent>()
-                            : std::span<const PendingEvent>(slot.pending);
-  RoutingTree rebuilt = resweep_source(csr_, *slot.owned, events, ws, out);
-  slot.owned = std::make_unique<const RoutingTree>(std::move(rebuilt));
-  slot.stale = false;
-  slot.pending_overflow = false;
-  slot.pending.clear();
-  slot.published.store(slot.owned.get(), std::memory_order_release);
-}
-
 bool AllPairsShortestWidest::tree_stale(NodeIndex from) const noexcept {
   if (from < 0 || static_cast<std::size_t>(from) >= graph_.node_count())
     return false;
@@ -930,14 +890,12 @@ AllPairsShortestWidest::UpdateStats AllPairsShortestWidest::apply_link_event(
   // Already-stale slots cannot run the predicate — their labels describe an
   // older graph — so they unconditionally note the event and stay stale.
   std::size_t built_current = 0;
-  std::vector<NodeIndex> stale_set;  // every stale slot after this event
   for (std::size_t s = 0; s < n; ++s) {
     Slot& slot = slots_[s];
     const auto source = static_cast<NodeIndex>(s);
     if (slot.stale) {
       ++stats.stale_sources;
       if (source != v) note_pending(slot, u, v, old_metrics, new_metrics);
-      stale_set.push_back(source);
       continue;
     }
     const RoutingTree* old_tree = slot.published.load(std::memory_order_relaxed);
@@ -965,69 +923,12 @@ AllPairsShortestWidest::UpdateStats AllPairsShortestWidest::apply_link_event(
 
   // Stamp the newly dirty slots stale: unpublish (queries must not see the
   // outdated tree), keep the old tree owned as the salvage donor, record the
-  // event for the floor computation.
+  // event for the floor computation.  The first query repairs the slot.
   for (const NodeIndex source : stats.dirty) {
     Slot& slot = slots_[static_cast<std::size_t>(source)];
     slot.published.store(nullptr, std::memory_order_relaxed);
     slot.stale = true;
     note_pending(slot, u, v, old_metrics, new_metrics);
-    stale_set.push_back(source);
-  }
-
-  if (repair_mode_ == RepairMode::kLazy) {
-    // Defer every re-sweep to first query.  No threshold fallback: stamping
-    // is cheap, and clearing slots here would throw away the salvage donors
-    // queries will want.
-    stats.deferred_sources = stale_set.size();
-    return stats;
-  }
-
-  const std::size_t built_total = built_current + stats.stale_sources;
-  if (!stale_set.empty() &&
-      static_cast<double>(stale_set.size()) >
-          rebuild_threshold_ * static_cast<double>(built_total)) {
-    // Too much of the cache is stale for eager re-sweeps to beat a lazy full
-    // rebuild: drop every slot and let queries repopulate on demand.
-    for (std::size_t s = 0; s < n; ++s) {
-      Slot& slot = slots_[s];
-      slot.published.store(nullptr, std::memory_order_relaxed);
-      slot.owned.reset();
-      slot.stale = false;
-      slot.pending_overflow = false;
-      slot.pending.clear();
-    }
-    stats.full_rebuild = true;
-    stats.retained_sources = 0;
-    metrics.full_rebuilds.increment();
-    return stats;
-  }
-
-  // Eager repair of every stale slot — including slots deferred by an
-  // earlier lazy phase, so a lazy -> eager mode switch converges on the next
-  // event.  The per-source re-sweeps are independent (private workspace, own
-  // slot); with an update pool they fan out with deterministic placement
-  // (outcome i belongs to stale_set[i]), bit-identical to the serial loop.
-  std::vector<ResweepOutcome> outcomes(stale_set.size());
-  const auto repair_one = [this, &stale_set, &outcomes](std::size_t i,
-                                                        RoutingWorkspace& ws) {
-    Slot& slot = slots_[static_cast<std::size_t>(stale_set[i])];
-    repair_slot_locked(slot, ws, outcomes[i]);
-  };
-  if (update_pool_ != nullptr && stale_set.size() > 1) {
-    update_pool_->parallel_for(0, stale_set.size(), [&repair_one](std::size_t i) {
-      repair_one(i, thread_workspace());
-    });
-  } else {
-    for (std::size_t i = 0; i < stale_set.size(); ++i)
-      repair_one(i, update_ws_);
-  }
-  stats.reswept_sources = stale_set.size();
-  for (const ResweepOutcome& out : outcomes) {
-    if (out.partial) ++stats.partial_resweeps;
-    stats.rounds_swept += out.rounds_swept;
-    stats.rounds_salvaged += out.rounds_salvaged;
-    stats.rounds_swept_baseline += out.rounds_swept_baseline;
-    stats.relaxations += out.relaxations;
   }
   return stats;
 }
@@ -1072,10 +973,6 @@ AllPairsShortestWidest::UpdateStats AllPairsShortestWidest::apply_link_reweight(
 std::unique_ptr<AllPairsShortestWidest> AllPairsShortestWidest::clone() const {
   std::unique_ptr<AllPairsShortestWidest> copy(
       new AllPairsShortestWidest(graph_, csr_));
-  copy->rebuild_threshold_ = rebuild_threshold_;
-  copy->repair_mode_ = repair_mode_;
-  // update_pool_ deliberately not copied: it is non-owning and its lifetime
-  // belongs to the original's owner.
   for (std::size_t s = 0; s < graph_.node_count(); ++s) {
     Slot& slot = slots_[s];
     // The build mutex orders this read against a concurrent lazy repair or
@@ -1128,14 +1025,6 @@ GraphDiffStats apply_graph_diff(AllPairsShortestWidest& db,
   const auto absorb = [&stats](const AllPairsShortestWidest::UpdateStats& u) {
     ++stats.events;
     stats.invalidated_sources += u.invalidated_sources;
-    stats.reswept_sources += u.reswept_sources;
-    // Deferred slots persist across events (a stale slot stays stale), so the
-    // last event's count IS the diff's final view — summing would count one
-    // slot once per event.
-    stats.deferred_sources = u.deferred_sources;
-    stats.rounds_swept += u.rounds_swept;
-    stats.rounds_salvaged += u.rounds_salvaged;
-    if (u.full_rebuild) ++stats.full_rebuilds;
   };
   for (const Endpoints& e : removals) {
     absorb(db.apply_link_remove(e.from, e.to));

@@ -228,32 +228,19 @@ inline PathQuality path_quality(const Digraph& g,
 /// Incremental maintenance: apply_link_insert/remove/reweight mutate the
 /// stored graph and CSR snapshot in place, then invalidate only the source
 /// trees a conservative *dirty-set* predicate cannot prove untouched (see
-/// docs/algorithms.md).  Clean trees are retained by pointer.  What happens
-/// to an invalidated tree depends on the repair mode:
-///
-///   * kEager (default): the tree is re-swept before the event returns,
-///     salvaging — by one arena memcpy through the tree's class-round table —
-///     every class round strictly above the event's salvage floor
-///     B0 = min(max(W_old(s,u), W_new(s,u)), max(b_old, b_new)), which the
-///     event provably cannot have touched (docs/algorithms.md).  When an
-///     update pool is attached (set_update_pool), the independent per-source
-///     re-sweeps fan out across it with per-thread workspaces; results are
-///     bit-identical at any thread count.  When the stale set exceeds
-///     rebuild_threshold() of the built trees, the event falls back to
-///     clearing every slot (lazy full rebuild).
-///
-///   * kLazy: the event only stamps the tree *stale* and appends (u, cap) to
-///     the slot's pending-event list; the stale tree is repaired — same
-///     salvage path, floor taken jointly over every pending event — by the
-///     first tree() query that touches it (double-checked under the slot's
-///     build mutex, so concurrent queries repair it exactly once).  An
-///     admit/retarget sequence that queries only a few sources pays
-///     O(queried) re-sweeps instead of O(dirty); the threshold fallback never
-///     fires (stamping is cheap — the whole point is deferring the work).
+/// docs/algorithms.md).  Clean trees are retained by pointer.  An event only
+/// stamps an invalidated tree *stale* and records the changed arc in the
+/// slot's pending-event list; the first tree() query that touches the slot
+/// repairs it (double-checked under the slot's build mutex, so concurrent
+/// queries repair it exactly once), salvaging — by arena copies through the
+/// tree's class-round table — every class round the pending events provably
+/// cannot have touched (docs/algorithms.md).  A consumer that queries only a
+/// few sources per event pays O(queried) re-sweeps instead of O(dirty);
+/// precompute_all(pool) repairs every stale slot in parallel.
 ///
 /// Results after any update are bit-identical — qualities and paths — to a
-/// from-scratch build of the mutated graph, in either mode, at any thread
-/// count, pinned by tests and the churn fuzz battery.
+/// from-scratch build of the mutated graph, at any thread count, pinned by
+/// tests and the churn fuzz battery.
 class AllPairsShortestWidest {
  public:
   explicit AllPairsShortestWidest(Digraph g)
@@ -291,15 +278,15 @@ class AllPairsShortestWidest {
   /// The graph this database currently describes (mutated by apply_link_*).
   const Digraph& graph() const noexcept { return graph_; }
 
-  /// Forces computation of every source's tree.
+  /// Builds every unbuilt source tree and repairs every stale one.
   void precompute_all() const;
-  /// Same, but builds the source trees concurrently on `pool`.
+  /// Same, but builds and repairs the source trees concurrently on `pool`.
   void precompute_all(util::ThreadPool& pool) const;
 
   // --- Incremental maintenance (exclusive access required) -----------------
 
-  /// How invalidated trees are brought current (see the class comment).
-  enum class RepairMode { kEager, kLazy };
+  /// Only for the frozen sflowbench replica's set_routing_repair_mode call.
+  enum class RepairMode { kLazy };
 
   /// One link event as a stale slot remembers it: the changed arc (via,
   /// head) with its metrics before the first and after the last event on
@@ -322,25 +309,14 @@ class AllPairsShortestWidest {
     double cap() const noexcept { return bw_old < bw_new ? bw_new : bw_old; }
   };
 
-  /// Outcome of one apply_link_* event, for observability and tests.  The
-  /// invalidated/reswept/deferred split keeps "the predicate dirtied it"
-  /// distinct from "work actually ran": a threshold fallback invalidates
-  /// without re-sweeping, and a lazy event defers every re-sweep to queries.
+  /// How one apply_link_* event split the slots, for observability and
+  /// tests.  Repair work runs later, on query, and is reported through the
+  /// routing metrics (docs/observability.md).
   struct UpdateStats {
     std::size_t invalidated_sources = 0;  // built trees the predicate dirtied
-    std::size_t reswept_sources = 0;      // trees re-swept before returning
-    std::size_t deferred_sources = 0;     // slots left stale for lazy repair
     std::size_t stale_sources = 0;        // slots already stale entering event
     std::size_t retained_sources = 0;     // built trees kept by pointer
-    std::size_t unbuilt_sources = 0;      // lazy slots, untouched either way
-    std::size_t partial_resweeps = 0;     // re-sweeps that salvaged rounds
-    std::size_t rounds_swept = 0;         // class rounds Dijkstra actually ran
-    std::size_t rounds_salvaged = 0;      // class rounds copied by memcpy
-    std::size_t rounds_swept_baseline = 0;  // rounds the pre-sharpening
-                                            // (all-widths-unchanged) salvage
-                                            // policy would have re-run
-    std::uint64_t relaxations = 0;        // arcs scanned by the re-sweeps
-    bool full_rebuild = false;            // threshold fallback: slots cleared
+    std::size_t unbuilt_sources = 0;      // never-built slots, untouched
     std::vector<NodeIndex> dirty;         // the newly invalidated sources
   };
 
@@ -355,47 +331,20 @@ class AllPairsShortestWidest {
   /// database.  Throws std::invalid_argument when the edge does not exist.
   UpdateStats apply_link_reweight(NodeIndex from, NodeIndex to, LinkMetrics metrics);
 
-  /// Dirty-set fraction of *built* trees beyond which an update clears every
-  /// slot instead of re-sweeping eagerly (default 0.5).  > 1 never falls
-  /// back (useful to force incremental behaviour in tests and benches);
-  /// 0 always falls back on a non-empty dirty set.
-  void set_rebuild_threshold(double fraction) noexcept {
-    rebuild_threshold_ = fraction;
-  }
-  double rebuild_threshold() const noexcept { return rebuild_threshold_; }
-
-  /// Repair policy for invalidated trees (see the class comment).  Switching
-  /// lazy -> eager does not repair already-stale slots retroactively; they
-  /// are repaired by the next event or query that touches them.
-  void set_repair_mode(RepairMode mode) noexcept { repair_mode_ = mode; }
-  RepairMode repair_mode() const noexcept { return repair_mode_; }
-
-  /// Attaches a non-owning worker pool for eager-mode dirty re-sweeps
-  /// (nullptr = serial, the default).  The pool must outlive the database or
-  /// be detached first; it is never used by queries, only by apply_link_*.
-  void set_update_pool(util::ThreadPool* pool) noexcept {
-    update_pool_ = pool;
-  }
-
-  /// True when the source's slot holds a stale tree awaiting lazy repair.
-  /// Takes the slot's build mutex, so it is safe against concurrent queries.
+  /// True when the source's slot holds a stale tree awaiting repair.  Takes
+  /// the slot's build mutex, so it is safe against concurrent queries.
   bool tree_stale(NodeIndex from) const noexcept;
-
-  /// Per-resweep work accounting (defined in the .cpp next to the resweep
-  /// kernel), aggregated into UpdateStats and the routing metrics.
-  struct ResweepOutcome;
 
   /// Deep copy: graph, CSR snapshot, every *built* tree (no sweeps run), and
   /// all staleness bookkeeping — a stale slot stays stale in the copy, with
   /// its pending events, and repairs on first query exactly as the original
-  /// would.  The update pool is NOT copied (its lifetime belongs to the
-  /// original's owner); attach one to the copy explicitly if wanted.
+  /// would.
   std::unique_ptr<AllPairsShortestWidest> clone() const;
 
  private:
   /// One lazily-initialized source tree.  `published` carries the
   /// release/acquire ordering: non-null means `owned` holds a fully built,
-  /// current tree.  The mutex serializes builders and lazy repairers
+  /// current tree.  The mutex serializes builders and repairers
   /// (double-checked locking); updates (exclusive access) may reset any
   /// field.  Staleness invariant: `stale` implies published == nullptr and
   /// `owned` still holds the pre-event tree (the salvage donor), with
@@ -416,9 +365,8 @@ class AllPairsShortestWidest {
 
   /// Shared tail of the three public events: computes the dirty set for a
   /// change of link (u, v) from old_metrics to new_metrics (an absent
-  /// endpoint is {0, inf}) against the *already mutated* graph/CSR, stamps
-  /// dirty slots stale, then repairs them now (eager; possibly on the update
-  /// pool) or leaves them for queries (lazy).
+  /// endpoint is {0, inf}) against the *already mutated* graph/CSR and
+  /// stamps dirty slots stale for repair on first query.
   UpdateStats apply_link_event(NodeIndex u, NodeIndex v,
                                const LinkMetrics& old_metrics,
                                const LinkMetrics& new_metrics);
@@ -431,34 +379,18 @@ class AllPairsShortestWidest {
                            const LinkMetrics& old_metrics,
                            const LinkMetrics& new_metrics);
 
-  /// Re-sweeps a stale slot's tree in place (salvage floor from its pending
-  /// events) and republishes it.  Caller holds the slot's build mutex or has
-  /// exclusive access.
-  void repair_slot_locked(Slot& slot, RoutingWorkspace& ws,
-                          ResweepOutcome& out) const;
-
   Digraph graph_;
   CsrView csr_;
   std::unique_ptr<Slot[]> slots_;
-  double rebuild_threshold_ = 0.5;
-  RepairMode repair_mode_ = RepairMode::kEager;
-  util::ThreadPool* update_pool_ = nullptr;  // non-owning; eager updates only
-  RoutingWorkspace update_ws_;  // reused across serial update re-sweeps
 };
 
-/// Aggregate outcome of apply_graph_diff (sums of the per-event UpdateStats,
-/// keeping invalidation distinct from work actually run — see UpdateStats).
+/// Aggregate outcome of apply_graph_diff.
 struct GraphDiffStats {
   std::size_t events = 0;      // individual link events applied
   std::size_t removed = 0;
   std::size_t reweighted = 0;
   std::size_t inserted = 0;
   std::size_t invalidated_sources = 0;  // summed over events
-  std::size_t reswept_sources = 0;      // trees re-swept eagerly
-  std::size_t deferred_sources = 0;     // slots left stale (final event's view)
-  std::size_t rounds_swept = 0;         // class rounds Dijkstra ran
-  std::size_t rounds_salvaged = 0;      // class rounds copied wholesale
-  std::size_t full_rebuilds = 0;  // events that hit the threshold fallback
 };
 
 /// Diffs db.graph() against `target` (same node count required) and applies

@@ -25,8 +25,9 @@ double ledger_get(const std::unordered_map<std::uint64_t, double>& ledger,
 
 /// Admission-path observability: how many admits retargeted the routing
 /// database in place versus rebuilding it.  The rebuild counter is the same
-/// `routing_full_rebuilds_total` the incremental database reports its
-/// threshold fallbacks into — both are "the incremental path gave up".
+/// `routing_full_rebuilds_total` core::retarget_routing reports roster-change
+/// rebuilds into — both are fresh builds the incremental path could not
+/// avoid.
 struct ResidualMetrics {
   obs::Counter& incremental_admissions = obs::Registry::global().counter(
       "residual_incremental_admissions_total",
@@ -175,18 +176,8 @@ void ResidualOverlay::rebuild(
     residual_metrics().incremental_admissions.increment();
   } else {
     routing_ = std::make_shared<graph::AllPairsShortestWidest>(graph_->graph());
-    routing_->set_repair_mode(routing_repair_);
     residual_metrics().full_rebuilds.increment();
   }
-}
-
-void ResidualOverlay::set_routing_repair_mode(
-    graph::AllPairsShortestWidest::RepairMode mode) {
-  routing_repair_ = mode;
-  // Only the sole owner may mutate the shared database; a shared one keeps
-  // its mode until the next fresh rebuild (which re-applies routing_repair_).
-  if (routing_ != nullptr && routing_.use_count() == 1)
-    routing_->set_repair_mode(mode);
 }
 
 }  // namespace sflow::overlay

@@ -123,16 +123,8 @@ class ResidualOverlay {
   void admit(const ServiceFlowGraph& flow, double rate,
              const net::UnderlayRouting* routing = nullptr);
 
-  /// Repair policy the routing database uses for trees an admission
-  /// invalidates: eager (re-sweep before admit returns) or lazy (stamp stale,
-  /// repair on first query — an admission sequence that queries few sources
-  /// pays only for those).  Applies to the current database when solely
-  /// owned, and is re-applied to every fresh database rebuild() creates, so
-  /// the mode survives view copies.  Query results are identical either way.
-  void set_routing_repair_mode(graph::AllPairsShortestWidest::RepairMode mode);
-  graph::AllPairsShortestWidest::RepairMode routing_repair_mode() const noexcept {
-    return routing_repair_;
-  }
+  /// No-op kept only for the frozen sflowbench replica; repair is always lazy.
+  void set_routing_repair_mode(graph::AllPairsShortestWidest::RepairMode) {}
 
  private:
   void rebuild(
@@ -142,8 +134,6 @@ class ResidualOverlay {
   std::shared_ptr<const OverlayGraph> graph_;
   /// Non-const so the sole owner can retarget it; exposed const-only.
   std::shared_ptr<graph::AllPairsShortestWidest> routing_;
-  graph::AllPairsShortestWidest::RepairMode routing_repair_ =
-      graph::AllPairsShortestWidest::RepairMode::kEager;
   /// Consumption ledgers, keyed by the packed (from, to) pair.
   std::unordered_map<std::uint64_t, double> overlay_used_;
   std::unordered_map<std::uint64_t, double> underlay_used_;

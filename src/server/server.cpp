@@ -86,7 +86,6 @@ Server::Server(core::Scenario scenario, ServerConfig config)
       view_(scenario_.view),
       presolver_(config_.presolve_threads),
       catalog_text_(catalog_listing(scenario_)) {
-  view_.set_routing_repair_mode(config_.routing_repair);
   // Warm every source tree before the first request: the batch pre-solve
   // queries the database from multiple threads, and a warm cache turns those
   // first-touch Dijkstra builds into wait-free pointer loads.  Reuses the

@@ -73,13 +73,9 @@ struct ServerConfig {
   /// backpressure) instead of growing the queue — and its copied frame
   /// payloads — without bound.  0 = unbounded.
   std::size_t max_queue_depth = 4096;
-  /// How each admission's invalidated routing trees are repaired: eager
-  /// (before the admit returns) or lazy (stamped stale, repaired on first
-  /// query — admissions that touch few sources stop paying for the whole
-  /// dirty set).  Decisions are bit-identical either way; sflowd exposes
-  /// this as --routing-repair.
+  /// Only for the frozen sflowbench replica; routing repair is always lazy.
   graph::AllPairsShortestWidest::RepairMode routing_repair =
-      graph::AllPairsShortestWidest::RepairMode::kEager;
+      graph::AllPairsShortestWidest::RepairMode::kLazy;
 };
 
 /// One answered requirement frame, in sequence (arrival) order.  The

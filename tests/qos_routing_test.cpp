@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/qos_routing.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -533,7 +534,6 @@ TEST(IncrementalUpdate, RandomChurnSequencesMatchFreshBuild) {
     AllPairsShortestWidest db(
         equivalence_graph(14, 9000 + seed, seed % 2 == 0, seed % 3 == 0, 0,
                           0.18));
-    db.set_rebuild_threshold(2.0);  // never fall back: exercise re-sweeps
     db.precompute_all();
     util::Rng rng(777 + seed);
     for (int step = 0; step < 12; ++step) {
@@ -547,7 +547,6 @@ TEST(IncrementalUpdate, RandomChurnSequencesMatchFreshBuild) {
 
 TEST(IncrementalUpdate, DisconnectAndReconnectRoundTrips) {
   AllPairsShortestWidest db(equivalence_graph(12, 4242, true, true, 0, 0.2));
-  db.set_rebuild_threshold(2.0);
   db.precompute_all();
   // Remove every out-link of node 0, then restore them with fresh metrics.
   std::vector<Edge> removed;
@@ -568,7 +567,6 @@ TEST(IncrementalUpdate, DirtySetIsConservativeAndCleanTreesRetained) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     AllPairsShortestWidest db(
         equivalence_graph(16, 6100 + seed, seed % 2 == 1, false, 0, 0.15));
-    db.set_rebuild_threshold(2.0);
     db.precompute_all();
     const std::size_t n = db.node_count();
 
@@ -590,7 +588,6 @@ TEST(IncrementalUpdate, DirtySetIsConservativeAndCleanTreesRetained) {
     const auto event = draw_event(db.graph(), rng);
     ASSERT_TRUE(event.has_value());
     const auto stats = apply_event(db, *event);
-    ASSERT_FALSE(stats.full_rebuild);
 
     // Sources the predicate called clean must be untouched: same tree object
     // (retained by pointer), same qualities, same paths.  Dirty trees are
@@ -621,32 +618,8 @@ TEST(IncrementalUpdate, RejectsInvalidEvents) {
   EXPECT_THROW(db.apply_link_insert(0, 9, {2, 1}), std::invalid_argument);
 }
 
-TEST(IncrementalUpdate, ThresholdFallbackClearsEverySlot) {
-  AllPairsShortestWidest db(equivalence_graph(10, 1234, false, false, 0, 0.3));
-  db.set_rebuild_threshold(0.0);  // any dirty source forces the fallback
-  db.precompute_all();
-  util::Rng rng(5);
-  std::optional<ChurnEvent> event;
-  AllPairsShortestWidest::UpdateStats stats;
-  do {
-    event = draw_event(db.graph(), rng);
-    ASSERT_TRUE(event.has_value());
-    stats = apply_event(db, *event);
-  } while (stats.invalidated_sources == 0);
-  EXPECT_TRUE(stats.full_rebuild);
-  EXPECT_EQ(stats.retained_sources, 0u);
-  // A fallback invalidates without re-sweeping — the split must say so.
-  EXPECT_EQ(stats.reswept_sources, 0u);
-  EXPECT_EQ(stats.rounds_swept, 0u);
-  for (std::size_t s = 0; s < db.node_count(); ++s)
-    EXPECT_FALSE(db.tree_cached(static_cast<NodeIndex>(s))) << s;
-  // Lazy rebuild still answers correctly.
-  expect_matches_fresh_build(db, "after fallback");
-}
-
 TEST(IncrementalUpdate, UnbuiltSlotsStayLazy) {
   AllPairsShortestWidest db(equivalence_graph(10, 88, true, false, 0, 0.25));
-  db.set_rebuild_threshold(2.0);
   db.tree(0);
   db.tree(1);
   util::Rng rng(17);
@@ -661,7 +634,6 @@ TEST(IncrementalUpdate, UnbuiltSlotsStayLazy) {
 
 TEST(IncrementalUpdate, CloneEvolvesIndependently) {
   AllPairsShortestWidest db(equivalence_graph(12, 99, false, false, 0, 0.2));
-  db.set_rebuild_threshold(2.0);
   db.precompute_all();
   const auto copy = db.clone();
   // Clone carries the built trees — no rebuild on query.
@@ -727,34 +699,13 @@ TEST(RoutingTree, ClassRoundTableMatchesArenaLayout) {
   }
 }
 
-TEST(IncrementalUpdate, SharpenedSalvageBeatsWidthsUnchangedPolicy) {
-  // The pre-sharpening policy only salvaged when *every* width label
-  // survived; the per-class floor salvages high rounds even when low-class
-  // widths moved.  rounds_swept_baseline replays the old policy, so a strict
-  // win must show up, and the new policy must never do more round work.
-  std::size_t sharpened_wins = 0;
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    AllPairsShortestWidest db(
-        equivalence_graph(16, 7200 + seed, true, false, 0, 0.2));
-    db.set_rebuild_threshold(2.0);
-    db.precompute_all();
-    util::Rng rng(555 + seed);
-    for (int step = 0; step < 10; ++step) {
-      const auto event = draw_event(db.graph(), rng);
-      if (!event) continue;
-      const auto stats = apply_event(db, *event);
-      EXPECT_LE(stats.rounds_swept, stats.rounds_swept_baseline);
-      if (stats.rounds_swept < stats.rounds_swept_baseline) ++sharpened_wins;
-      expect_matches_fresh_build(db, "sharpened salvage");
-    }
-  }
-  EXPECT_GT(sharpened_wins, 0u);
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
 }
 
 TEST(IncrementalUpdate, BandSalvageSkipsClassesOutsideTheEventBand) {
   // Classes from source 0: 30 {3, 4}, 10 {1, 2}, 2 {5}.  No other source can
-  // reach node 0, so events on 0's out-arcs dirty exactly one tree and the
-  // aggregate stats read as per-source counts.
+  // reach node 0, so events on 0's out-arcs dirty exactly one tree.
   Digraph g(6);
   g.add_edge(0, 1, {10.0, 1.0});
   g.add_edge(1, 2, {20.0, 1.0});
@@ -763,21 +714,23 @@ TEST(IncrementalUpdate, BandSalvageSkipsClassesOutsideTheEventBand) {
   g.add_edge(3, 4, {40.0, 1.0});
   g.add_edge(0, 5, {2.0, 1.0});
   AllPairsShortestWidest db(std::move(g));
-  db.set_rebuild_threshold(2.0);
   db.precompute_all();
 
   // Latency-preserving reweight of (0, 2): band (5, 10].  Every width label
-  // survives, so only the class-10 round re-runs; the 30 round (above the
-  // cap) and the 2 round (at or below the band bottom, where the arc sits in
-  // the prefix with identical latency either way) are both salvaged — the
-  // widths-unchanged-only policy could not keep the round *below* the event.
+  // survives, so the repair re-runs only the class-10 round; the 30 round
+  // (above the cap) and the 2 round (at or below the band bottom, where the
+  // arc sits in the prefix with identical latency either way) are both
+  // salvaged.
   const auto stats = db.apply_link_reweight(0, 2, {10.0, 1.0});
   EXPECT_EQ(stats.invalidated_sources, 1u);
-  EXPECT_EQ(stats.reswept_sources, 1u);
-  EXPECT_EQ(stats.partial_resweeps, 1u);
-  EXPECT_EQ(stats.rounds_swept, 1u);
-  EXPECT_EQ(stats.rounds_salvaged, 2u);
-  EXPECT_EQ(stats.rounds_swept_baseline, 2u);
+  EXPECT_TRUE(db.tree_stale(0));
+  const std::uint64_t repairs = counter_value("routing_lazy_repairs_total");
+  const std::uint64_t salvaged =
+      counter_value("routing_class_rounds_salvaged_total");
+  EXPECT_EQ(db.tree(0).class_rounds().size(), 3u);
+  EXPECT_EQ(counter_value("routing_lazy_repairs_total") - repairs, 1u);
+  EXPECT_EQ(counter_value("routing_class_rounds_salvaged_total") - salvaged,
+            2u);
 
   // The re-swept round picked up the real change: the direct arc now matches
   // the chain's width at half its latency.
@@ -785,46 +738,37 @@ TEST(IncrementalUpdate, BandSalvageSkipsClassesOutsideTheEventBand) {
   expect_matches_fresh_build(db, "band salvage");
 }
 
-TEST(IncrementalUpdate, LazyRepairMatchesEagerAndFresh) {
+TEST(IncrementalUpdate, RepairWaitsForFirstQuery) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const Digraph start = equivalence_graph(14, 8300 + seed, seed % 2 == 0,
-                                            seed % 3 == 0, 0, 0.2);
-    AllPairsShortestWidest eager{Digraph(start)};
-    AllPairsShortestWidest lazy{Digraph(start)};
-    eager.set_rebuild_threshold(2.0);
-    lazy.set_rebuild_threshold(2.0);
-    lazy.set_repair_mode(AllPairsShortestWidest::RepairMode::kLazy);
-    eager.precompute_all();
-    lazy.precompute_all();
+    AllPairsShortestWidest db(equivalence_graph(14, 8300 + seed, seed % 2 == 0,
+                                                seed % 3 == 0, 0, 0.2));
+    db.precompute_all();
 
     util::Rng rng(4040 + seed);
     util::Rng query_rng(909 + seed);
     for (int step = 0; step < 10; ++step) {
-      const auto event = draw_event(eager.graph(), rng);
+      const auto event = draw_event(db.graph(), rng);
       if (!event) continue;
-      apply_event(eager, *event);
-      const auto stats = apply_event(lazy, *event);
-      EXPECT_EQ(stats.reswept_sources, 0u);
-      EXPECT_EQ(stats.deferred_sources,
-                stats.invalidated_sources + stats.stale_sources);
+      const auto stats = apply_event(db, *event);
 
       // Unqueried invalidated slots are provably untouched: unpublished and
       // still stamped stale.
       for (const NodeIndex source : stats.dirty) {
-        EXPECT_FALSE(lazy.tree_cached(source)) << "source " << source;
-        EXPECT_TRUE(lazy.tree_stale(source)) << "source " << source;
+        EXPECT_FALSE(db.tree_cached(source)) << "source " << source;
+        EXPECT_TRUE(db.tree_stale(source)) << "source " << source;
       }
 
-      // Each queried source repairs on first touch, bit-identical to the
-      // eager database's tree (itself pinned against fresh builds below).
+      // Each queried source repairs on first touch, bit-identical to a
+      // from-scratch tree of the current graph.
+      const Digraph fresh = live_graph_copy(db);
       for (int q = 0; q < 2; ++q) {
         const auto source = static_cast<NodeIndex>(query_rng.uniform_int(
-            0, static_cast<std::int64_t>(lazy.node_count()) - 1));
-        const RoutingTree& got = lazy.tree(source);
-        const RoutingTree& want = eager.tree(source);
-        EXPECT_FALSE(lazy.tree_stale(source));
-        EXPECT_TRUE(lazy.tree_cached(source));
-        for (std::size_t t = 0; t < lazy.node_count(); ++t) {
+            0, static_cast<std::int64_t>(db.node_count()) - 1));
+        const RoutingTree& got = db.tree(source);
+        const RoutingTree want = shortest_widest_tree(fresh, source);
+        EXPECT_FALSE(db.tree_stale(source));
+        EXPECT_TRUE(db.tree_cached(source));
+        for (std::size_t t = 0; t < db.node_count(); ++t) {
           const auto dest = static_cast<NodeIndex>(t);
           ASSERT_EQ(got.quality_to(dest), want.quality_to(dest))
               << "quality " << source << "->" << t;
@@ -833,8 +777,7 @@ TEST(IncrementalUpdate, LazyRepairMatchesEagerAndFresh) {
         }
       }
     }
-    expect_matches_fresh_build(lazy, "lazy end state");
-    expect_matches_fresh_build(eager, "eager end state");
+    expect_matches_fresh_build(db, "end state");
   }
 }
 
@@ -844,8 +787,6 @@ TEST(IncrementalUpdate, LazyPendingOverflowStillRepairsExactly) {
   // forget the floor, and must fall back to a full re-sweep that is still
   // bit-identical to a fresh build.
   AllPairsShortestWidest db(equivalence_graph(80, 12121, true, false, 0, 0.08));
-  db.set_rebuild_threshold(2.0);
-  db.set_repair_mode(AllPairsShortestWidest::RepairMode::kLazy);
   db.precompute_all();
   util::Rng rng(66);
   const std::vector<Edge> snapshot(db.graph().edges().begin(),
@@ -862,22 +803,25 @@ TEST(IncrementalUpdate, LazyPendingOverflowStillRepairsExactly) {
   expect_matches_fresh_build(db, "after pending overflow");
 }
 
-TEST(IncrementalUpdate, ParallelResweepsAreDeterministic) {
+TEST(IncrementalUpdate, ParallelRepairsAreDeterministic) {
   const Digraph start = equivalence_graph(16, 31415, true, false, 0, 0.2);
   const auto run = [&start](util::ThreadPool* pool) {
     AllPairsShortestWidest db{Digraph(start)};
-    db.set_rebuild_threshold(2.0);
-    db.set_update_pool(pool);
-    if (pool != nullptr)
-      db.precompute_all(*pool);
-    else
-      db.precompute_all();
+    const auto repair_all = [&db, pool] {
+      if (pool != nullptr)
+        db.precompute_all(*pool);
+      else
+        db.precompute_all();
+    };
+    repair_all();
     util::Rng rng(2718);
     for (int step = 0; step < 12; ++step) {
       const auto event = draw_event(db.graph(), rng);
       if (!event) continue;
       apply_event(db, *event);
+      if (step % 3 == 2) repair_all();  // the rest accumulate pending events
     }
+    repair_all();
     // Flatten every tree — qualities and hops — for exact comparison.
     std::pair<std::vector<PathQuality>, std::vector<NodeIndex>> flat;
     for (std::size_t s = 0; s < db.node_count(); ++s) {
@@ -894,8 +838,8 @@ TEST(IncrementalUpdate, ParallelResweepsAreDeterministic) {
   const auto serial = run(nullptr);
   util::ThreadPool two(2);
   util::ThreadPool eight(8);
-  EXPECT_TRUE(serial == run(&two)) << "2-thread re-sweeps diverge from serial";
-  EXPECT_TRUE(serial == run(&eight)) << "8-thread re-sweeps diverge from serial";
+  EXPECT_TRUE(serial == run(&two)) << "2-thread repairs diverge from serial";
+  EXPECT_TRUE(serial == run(&eight)) << "8-thread repairs diverge from serial";
 }
 
 TEST(IncrementalUpdate, ConcurrentLazyRepairsAreSafe) {
@@ -903,8 +847,6 @@ TEST(IncrementalUpdate, ConcurrentLazyRepairsAreSafe) {
   // build-mutex double-check must hand every one of them the same tree.
   // TSan-load-bearing (tools/run_sanitized_tests.sh).
   AllPairsShortestWidest db(equivalence_graph(20, 2424, true, false, 0, 0.2));
-  db.set_rebuild_threshold(2.0);
-  db.set_repair_mode(AllPairsShortestWidest::RepairMode::kLazy);
   db.precompute_all();
   util::Rng rng(11);
   for (int step = 0; step < 4; ++step) {
@@ -928,8 +870,6 @@ TEST(IncrementalUpdate, ConcurrentLazyRepairsAreSafe) {
 
 TEST(IncrementalUpdate, CloneCarriesStalenessBookkeeping) {
   AllPairsShortestWidest db(equivalence_graph(12, 777, true, false, 0, 0.25));
-  db.set_rebuild_threshold(2.0);
-  db.set_repair_mode(AllPairsShortestWidest::RepairMode::kLazy);
   db.precompute_all();
   util::Rng rng(8);
   std::optional<ChurnEvent> event;
@@ -938,7 +878,7 @@ TEST(IncrementalUpdate, CloneCarriesStalenessBookkeeping) {
     event = draw_event(db.graph(), rng);
     ASSERT_TRUE(event.has_value());
     stats = apply_event(db, *event);
-  } while (stats.deferred_sources == 0);
+  } while (stats.invalidated_sources == 0);
 
   const auto copy = db.clone();
   for (const NodeIndex source : stats.dirty) {
@@ -953,30 +893,20 @@ TEST(IncrementalUpdate, CloneCarriesStalenessBookkeeping) {
   expect_matches_fresh_build(db, "original after clone repaired");
 }
 
-TEST(IncrementalUpdate, GraphDiffDefersUnderLazyRepair) {
-  const Digraph before = equivalence_graph(13, 555, true, false, 0, 0.2);
-  const Digraph after = equivalence_graph(13, 556, true, true, 0, 0.2);
-  AllPairsShortestWidest db{Digraph(before)};
-  db.set_rebuild_threshold(2.0);
-  db.set_repair_mode(AllPairsShortestWidest::RepairMode::kLazy);
-  db.precompute_all();
-  const GraphDiffStats stats = apply_graph_diff(db, after);
-  EXPECT_GT(stats.events, 0u);
-  EXPECT_EQ(stats.reswept_sources, 0u);  // every repair deferred to queries
-  EXPECT_GT(stats.deferred_sources, 0u);
-  expect_matches_fresh_build(db, "lazy diff retarget");
-}
-
 TEST(IncrementalUpdate, GraphDiffRetargetsToArbitraryState) {
   const Digraph before = equivalence_graph(13, 555, true, false, 0, 0.2);
   const Digraph after = equivalence_graph(13, 556, true, true, 0, 0.2);
   AllPairsShortestWidest db{Digraph(before)};
-  db.set_rebuild_threshold(2.0);
   db.precompute_all();
   const GraphDiffStats stats = apply_graph_diff(db, after);
   EXPECT_EQ(stats.events,
             stats.removed + stats.reweighted + stats.inserted);
   EXPECT_GT(stats.events, 0u);
+  // Every repair waits for a query.
+  std::size_t stale = 0;
+  for (std::size_t s = 0; s < db.node_count(); ++s)
+    stale += db.tree_stale(static_cast<NodeIndex>(s)) ? 1 : 0;
+  EXPECT_GT(stale, 0u);
   expect_matches_fresh_build(db, "diff retarget");
   // The database's live edge set now equals the target's.
   EXPECT_EQ(db.graph().live_edge_count(), after.live_edge_count());

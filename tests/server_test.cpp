@@ -88,15 +88,17 @@ TEST(Framing, OversizedAnnouncedLengthThrows) {
 
 constexpr std::uint64_t kSeed = 11;
 
-std::unique_ptr<Server> make_server(double floor = 1e-9,
-                                    std::size_t presolve_threads = 2,
-                                    std::size_t max_queue_depth = 4096) {
+std::unique_ptr<Server> make_server(
+    double floor = 1e-9, std::size_t presolve_threads = 2,
+    std::size_t max_queue_depth = 4096,
+    core::Algorithm algorithm = core::AdmissionConfig{}.algorithm) {
   HostingConfig hosting;
   hosting.network_size = 24;
   hosting.service_count = 4;
   hosting.instances_per_service = 3;
   hosting.seed = kSeed;
   ServerConfig config;
+  config.admission.algorithm = algorithm;
   config.admission.bandwidth_floor = floor;
   config.seed = util::derive_seed(kSeed, 1);
   config.presolve_threads = presolve_threads;
@@ -113,6 +115,32 @@ std::string request(int fd, const std::string& payload) {
 
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
+}
+
+/// Determinism pin: the served stream, replayed sequentially, reproduces
+/// every decision and the final view; the admitted set obeys conservation.
+void expect_replay_identical(const Server& server) {
+  std::vector<overlay::ServiceRequirement> stream;
+  for (const ServedRequest& served : server.history())
+    stream.push_back(served.requirement);
+  const core::AdmissionResult replay = core::run_admission_sequence(
+      server.scenario(), stream, server.config().admission,
+      server.config().seed);
+  ASSERT_EQ(replay.decisions.size(), server.history().size());
+  for (std::size_t i = 0; i < replay.decisions.size(); ++i) {
+    const core::AdmissionDecision& live = server.history()[i].decision;
+    const core::AdmissionDecision& seq = replay.decisions[i];
+    EXPECT_EQ(live.admitted, seq.admitted) << "request " << i;
+    EXPECT_EQ(live.rate, seq.rate) << "request " << i;
+    EXPECT_TRUE(live.outcome.deterministically_equal(seq.outcome))
+        << "request " << i;
+  }
+  EXPECT_EQ(server.view().generation(), replay.view.generation());
+
+  const check::ValidationReport report = check::validate_conservation(
+      server.view().base(), server.scenario().underlay,
+      server.scenario().routing.get(), server.view().admitted());
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(Server, AnswersCatalogAndMetricsQueries) {
@@ -246,29 +274,60 @@ TEST(Server, DrainOnStopAnswersEverythingBitIdenticalToSequentialReplay) {
   }
   EXPECT_EQ(responses, kConnections * kPerConnection);
   ASSERT_EQ(server->history().size(), kConnections * kPerConnection);
+  expect_replay_identical(*server);
+}
 
-  // Determinism pin: replay the served stream sequentially.
-  std::vector<overlay::ServiceRequirement> stream;
-  for (const ServedRequest& served : server->history())
-    stream.push_back(served.requirement);
-  const core::AdmissionResult replay = core::run_admission_sequence(
-      server->scenario(), stream, server->config().admission,
-      server->config().seed);
-  ASSERT_EQ(replay.decisions.size(), server->history().size());
-  for (std::size_t i = 0; i < replay.decisions.size(); ++i) {
-    const core::AdmissionDecision& live = server->history()[i].decision;
-    const core::AdmissionDecision& seq = replay.decisions[i];
-    EXPECT_EQ(live.admitted, seq.admitted) << "request " << i;
-    EXPECT_EQ(live.rate, seq.rate) << "request " << i;
-    EXPECT_TRUE(live.outcome.deterministically_equal(seq.outcome))
-        << "request " << i;
+// Admissions leave routing trees stale; the next batch's pre-solve threads
+// repair them on first query, racing each other on the per-slot mutex
+// (TSan-load-bearing).  Pipelined rounds, each waited out before the next,
+// keep admissions landing between batches.
+TEST(Server, PresolveThreadsRepairStaleRoutingTrees) {
+  constexpr std::size_t kRequestsPerRound = 6;
+  constexpr std::size_t kMaxRounds = 40;
+  obs::Counter& repairs =
+      obs::Registry::global().counter("routing_lazy_repairs_total");
+  obs::Counter& batches =
+      obs::Registry::global().counter("server_batches_total");
+  const std::uint64_t repairs_before = repairs.value();
+  const std::uint64_t batches_before = batches.value();
+
+  auto server = make_server(/*floor=*/1e-9, /*presolve_threads=*/4,
+                            /*max_queue_depth=*/4096,
+                            core::Algorithm::kGlobalOptimal);
+  SocketPair pair;
+  server->adopt_connection(pair.release(0));
+
+  // Stop once some batch held several requests (a pre-solve ran) after at
+  // least three rounds.
+  std::size_t served = 0;
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
+    for (std::size_t r = 0; r < kRequestsPerRound; ++r) {
+      const std::size_t first = (round + r) % 4;
+      std::string requirement;
+      for (std::size_t h = 0; h < 1 + (round + r) % 3; ++h)
+        requirement += "S" + std::to_string((first + h) % 4) + " -> S" +
+                       std::to_string((first + h + 1) % 4) + "\n";
+      write_frame(pair.fds[1], requirement);
+    }
+    std::string response;
+    for (std::size_t r = 0; r < kRequestsPerRound; ++r) {
+      ASSERT_TRUE(read_frame(pair.fds[1], response));
+      EXPECT_TRUE(starts_with(response, "status: admitted") ||
+                  starts_with(response, "status: rejected"))
+          << response;
+    }
+    served += kRequestsPerRound;
+    if (round >= 2 && batches.value() - batches_before < served) break;
   }
-  EXPECT_EQ(server->view().generation(), replay.view.generation());
+  server->stop();
 
-  const check::ValidationReport report = check::validate_conservation(
-      server->view().base(), server->scenario().underlay,
-      server->scenario().routing.get(), server->view().admitted());
-  EXPECT_TRUE(report.ok()) << report.to_string();
+  std::size_t admitted = 0;
+  for (const ServedRequest& request : server->history())
+    admitted += request.decision.admitted ? 1 : 0;
+  EXPECT_GT(admitted, 1u);
+  EXPECT_LT(batches.value() - batches_before, served);  // a pre-solve ran
+  EXPECT_GT(repairs.value(), repairs_before);
+  expect_replay_identical(*server);
 }
 
 std::size_t open_fd_count() {

@@ -6,18 +6,17 @@ Usage:
         Print old -> new deltas for every shared numeric summary
         (median / p90 / p99 / max blocks and scalar ratios).
 
-    tools/bench_diff.py OLD.json NEW.json --check incremental_us.p90<=1.5
-        Additionally require NEW's incremental_us.p90 to be at most
+    tools/bench_diff.py OLD.json NEW.json --check repair_all_us.p90<=1.5
+        Additionally require NEW's repair_all_us.p90 to be at most
         1.5x OLD's; exit nonzero when the bound is violated.  Repeatable.
-        For keys where bigger is better (e.g. median_speedup,
-        resweep_work_p90_ratio) use >= instead: --check median_speedup>=0.8
-        requires NEW to keep at least 0.8x OLD's value.
+        For keys where bigger is better (e.g. median_speedup) use >=
+        instead: --check median_speedup>=0.8 requires NEW to keep at least
+        0.8x OLD's value.
 
     tools/bench_diff.py NEW.json --validate
         Schema-only check of a single record (keys and shapes present);
-        exit nonzero on a malformed file.  No timings are judged — the
-        containers this runs in are single-core and noisy, so wall-clock
-        assertions do not belong in CI.
+        exit nonzero on a malformed file.  No timings are judged — shared
+        CI hosts are noisy, so wall-clock assertions do not belong in CI.
 
 Only dotted keys resolving to numbers are compared.  Tail blocks written by
 the bench ({"median": ..., "p90": ..., "p99": ..., "max": ...}) expand to one
@@ -31,37 +30,31 @@ import sys
 
 TAIL_FIELDS = ("median", "p90", "p99", "max")
 
-# Keys every schema-v2 routing record must carry (see docs/formats.md).
-ROUTING_V2_REQUIRED = {
+# Keys every schema-v3 routing record must carry (see docs/formats.md).
+SCHEMA_VERSION = 3
+
+TAIL_BLOCKS = ("lazy_us", "repair_all_us", "rebuild_us", "invalidated_sources",
+               "repaired_sources", "rounds_salvaged", "relaxations")
+
+ROUTING_REQUIRED = {
     "schema_version": int,
     "network_size": int,
     "events": int,
-    "update_threads": int,
+    "repair_threads": int,
     "lazy_queries_per_event": int,
-    "incremental_us": dict,
-    "parallel_us": dict,
-    "lazy_us": dict,
-    "rebuild_us": dict,
-    "rounds_swept": dict,
-    "rounds_swept_baseline": dict,
-    "rounds_salvaged": dict,
-    "invalidated_sources": dict,
-    "deferred_sources": dict,
     "median_speedup": float,
-    "resweep_work_p90_ratio": float,
     "per_event": list,
+    **{key: dict for key in TAIL_BLOCKS},
 }
 
 PER_EVENT_REQUIRED = {
     "kind": str,
     "invalidated": int,
-    "rounds_swept": int,
+    "repaired": int,
     "rounds_salvaged": int,
-    "rounds_swept_baseline": int,
-    "deferred": int,
-    "incremental_us": float,
-    "parallel_us": float,
+    "relaxations": int,
     "lazy_us": float,
+    "repair_all_us": float,
     "rebuild_us": float,
 }
 
@@ -84,7 +77,7 @@ def flatten(record, prefix=""):
 
 def validate(record, path):
     errors = []
-    for key, kind in ROUTING_V2_REQUIRED.items():
+    for key, kind in ROUTING_REQUIRED.items():
         if key not in record:
             errors.append(f"missing key: {key}")
             continue
@@ -97,8 +90,7 @@ def validate(record, path):
             continue
         errors.append(f"key {key}: expected {kind.__name__}, "
                       f"got {type(value).__name__}")
-    for key in ("incremental_us", "parallel_us", "lazy_us", "rebuild_us",
-                "rounds_swept", "rounds_swept_baseline", "rounds_salvaged"):
+    for key in TAIL_BLOCKS:
         block = record.get(key)
         if not isinstance(block, dict):
             continue
@@ -117,8 +109,8 @@ def validate(record, path):
                 errors.append(f"per_event[{i}].{key}: not a number")
             elif kind in (int, str) and not isinstance(value, kind):
                 errors.append(f"per_event[{i}].{key}: not {kind.__name__}")
-    if record.get("schema_version") != 2:
-        errors.append(f"schema_version: expected 2, "
+    if record.get("schema_version") != SCHEMA_VERSION:
+        errors.append(f"schema_version: expected {SCHEMA_VERSION}, "
                       f"got {record.get('schema_version')!r}")
     for error in errors:
         print(f"{path}: {error}", file=sys.stderr)

@@ -38,10 +38,13 @@
 // `--churn` switches to the incremental-routing battery: each seed builds a
 // fully precomputed shortest-widest database over the scenario overlay, then
 // applies a random sequence of link insert/remove/reweight events through
-// apply_link_* (the dirty-set incremental path, threshold fallback disabled)
-// and after EVERY event diffs the maintained database bit-for-bit — all-pairs
-// qualities AND paths — against a from-scratch build over the mutated link
-// set.  Every few events a federation (sFlow and the global optimum) is run
+// apply_link_* (the dirty-set incremental path) and diffs the maintained
+// database bit-for-bit — all-pairs qualities AND paths — against a
+// from-scratch build over the mutated link set, after every event or every
+// second event (the seed decides, so pending-event lists also accumulate
+// multi-event salvage floors).  The diff's queries are the repair trigger;
+// `--threads N` repairs through precompute_all on an N-thread pool first.
+// Every few events a federation (sFlow and the global optimum) is run
 // once against the incremental database and once against the fresh one with
 // identically seeded RNGs; the outcomes must be deterministically equal.
 // Failures are reproducible from (base-seed, seed) alone, so no scenario
@@ -78,10 +81,9 @@ using namespace sflow;
   if (!message.empty()) std::cerr << "error: " << message << "\n\n";
   std::cerr << "usage: fuzz_federation [--seeds N] [--base-seed S] [--smoke]\n"
                "                       [--contention] [--churn] [--replay PATH]\n"
-               "                       [--repair eager|lazy] [--threads N]\n"
-               "                       [--dump-dir DIR]\n"
-               "  --repair/--threads select the routing repair mode and the\n"
-               "  update/precompute pool for the --churn battery\n";
+               "                       [--threads N] [--dump-dir DIR]\n"
+               "  --threads sizes the pool the --churn battery precomputes\n"
+               "  and repairs through\n";
   std::exit(2);
 }
 
@@ -515,16 +517,7 @@ void diff_against_fresh(const graph::AllPairsShortestWidest& db,
 struct ChurnTally {
   std::size_t events = 0;
   std::size_t federation_checks = 0;
-  std::size_t lazy_diffs = 0;  // diffs taken with >= 1 event pending
-};
-
-/// How the churn battery maintains its database: the repair mode under test
-/// and an optional worker pool (eager mode fans dirty re-sweeps across it;
-/// the parallel precompute warms the cache through it either way).
-struct ChurnOptions {
-  graph::AllPairsShortestWidest::RepairMode repair =
-      graph::AllPairsShortestWidest::RepairMode::kEager;
-  util::ThreadPool* pool = nullptr;
+  std::size_t paired_diffs = 0;  // diffs taken with two events pending
 };
 
 /// Link events diffed per seed, and how often a federation is interleaved.
@@ -532,31 +525,26 @@ constexpr std::size_t kChurnEventsPerSeed = 16;
 constexpr std::size_t kChurnFederationStride = 4;
 
 /// The churn battery for one scenario: precompute the database, hammer it
-/// with random link events (threshold fallback disabled so every event takes
-/// the dirty-set path), and after each event rebuild the truth from scratch
-/// and diff.  In lazy mode the diff runs every *second* event, so pending
-/// lists accumulate multi-event floors, and the diff's full query sweep is
-/// itself the repair trigger under test.  Every kChurnFederationStride-th
-/// event additionally runs sFlow and the global optimum against both
-/// databases with identically seeded RNGs — reading qualities and paths the
-/// way the solvers actually do — and requires deterministically equal
-/// outcomes.
+/// with random link events, and rebuild the truth from scratch and diff
+/// after every event — or every second event, chosen per seed, so pending
+/// lists accumulate multi-event floors.  The diff's full query sweep is the
+/// repair trigger under test; with a pool, precompute_all repairs every
+/// stale slot in parallel first.  Every kChurnFederationStride-th event
+/// additionally runs sFlow and the global optimum against both databases
+/// with identically seeded RNGs — reading qualities and paths the way the
+/// solvers actually do — and requires deterministically equal outcomes.
 std::vector<check::Violation> run_churn_battery(const core::Scenario& scenario,
                                                 std::uint64_t case_seed,
-                                                const ChurnOptions& options,
+                                                util::ThreadPool* pool,
                                                 ChurnTally& tally) {
-  using RepairMode = graph::AllPairsShortestWidest::RepairMode;
-  const bool lazy = options.repair == RepairMode::kLazy;
   std::vector<check::Violation> violations;
   graph::AllPairsShortestWidest db(scenario.overlay().graph());
-  db.set_rebuild_threshold(2.0);  // > 1: the fallback can never trigger
-  db.set_repair_mode(options.repair);
-  db.set_update_pool(options.pool);
-  if (options.pool != nullptr)
-    db.precompute_all(*options.pool);
+  if (pool != nullptr)
+    db.precompute_all(*pool);
   else
     db.precompute_all();
 
+  const std::size_t diff_stride = 1 + util::derive_seed(case_seed, 0xD1FF) % 2;
   util::Rng rng(util::derive_seed(case_seed, 0xC4A2));
   for (std::size_t step = 0; step < kChurnEventsPerSeed; ++step) {
     const std::optional<ChurnEvent> event = draw_churn_event(db.graph(), rng);
@@ -581,10 +569,6 @@ std::vector<check::Violation> run_churn_battery(const core::Scenario& scenario,
                 : event->kind == ChurnEvent::Kind::kRemove   ? "remove"
                                                              : "reweight")
             << " " << event->from << "->" << event->to << ")";
-    if (stats.full_rebuild)
-      violations.push_back(
-          {"churn-threshold-breach",
-           context.str() + ": fallback fired with the threshold disabled"});
     if (stats.invalidated_sources + stats.retained_sources +
             stats.unbuilt_sources + stats.stale_sources !=
         db.node_count())
@@ -592,34 +576,19 @@ std::vector<check::Violation> run_churn_battery(const core::Scenario& scenario,
           {"churn-slot-accounting",
            context.str() +
                ": invalidated + retained + unbuilt + stale != node count"});
-    if (lazy) {
-      if (stats.reswept_sources != 0)
-        violations.push_back({"churn-lazy-eager-work",
-                              context.str() + ": lazy event re-swept eagerly"});
-      if (stats.deferred_sources !=
-          stats.invalidated_sources + stats.stale_sources)
+    for (const graph::NodeIndex source : stats.dirty)
+      if (!db.tree_stale(source)) {
         violations.push_back(
-            {"churn-lazy-deferral",
-             context.str() + ": deferred != invalidated + previously stale"});
-      for (const graph::NodeIndex source : stats.dirty)
-        if (!db.tree_stale(source)) {
-          violations.push_back(
-              {"churn-lazy-staleness",
-               context.str() + ": invalidated source not stamped stale"});
-          break;
-        }
-    } else if (stats.reswept_sources !=
-               stats.invalidated_sources + stats.stale_sources) {
-      violations.push_back(
-          {"churn-eager-repair",
-           context.str() + ": eager event left stale slots unswept"});
-    }
+            {"churn-staleness",
+             context.str() + ": invalidated source not stamped stale"});
+        break;
+      }
     if (!violations.empty()) return violations;
 
-    // Lazy mode diffs every second event so at least half the diffs see
-    // multi-event pending lists (the joint-floor path).
-    if (lazy && step % 2 == 0 && step + 1 < kChurnEventsPerSeed) continue;
-    if (lazy) ++tally.lazy_diffs;
+    if ((step + 1) % diff_stride != 0 && step + 1 < kChurnEventsPerSeed)
+      continue;
+    if (diff_stride == 2) ++tally.paired_diffs;
+    if (pool != nullptr) db.precompute_all(*pool);
 
     const graph::AllPairsShortestWidest fresh(live_graph_copy(db));
     diff_against_fresh(db, fresh, context.str(), violations);
@@ -732,7 +701,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool contention = false;
   bool churn = false;
-  std::string repair = "eager";
   std::size_t threads = 1;
   std::string replay_path;
   std::string dump_dir = ".";
@@ -750,10 +718,6 @@ int main(int argc, char** argv) {
       contention = true;
     } else if (arg == "--churn") {
       churn = true;
-    } else if (arg == "--repair" && i + 1 < argc) {
-      repair = argv[++i];
-      if (repair != "eager" && repair != "lazy")
-        usage("bad --repair '" + repair + "' (want eager|lazy)");
     } else if (arg == "--threads" && i + 1 < argc) {
       threads = std::strtoul(argv[++i], nullptr, 10);
       if (threads == 0) threads = 1;
@@ -765,8 +729,7 @@ int main(int argc, char** argv) {
       usage("unknown argument '" + arg + "'");
     }
   }
-  if ((repair == "lazy" || threads > 1) && !churn)
-    usage("--repair/--threads only apply to --churn");
+  if (threads > 1 && !churn) usage("--threads only applies to --churn");
   if (contention && churn)
     usage("--contention and --churn are mutually exclusive");
   // Contention cases cost ~K! sequences each and churn cases a from-scratch
@@ -780,14 +743,8 @@ int main(int argc, char** argv) {
       std::size_t failures = 0;
       std::size_t infeasible_workloads = 0;
       ChurnTally tally;
-      ChurnOptions options;
-      if (repair == "lazy")
-        options.repair = graph::AllPairsShortestWidest::RepairMode::kLazy;
       std::unique_ptr<util::ThreadPool> pool;
-      if (threads > 1) {
-        pool = std::make_unique<util::ThreadPool>(threads);
-        options.pool = pool.get();
-      }
+      if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
 
       for (std::size_t s = 0; s < seeds; ++s) {
         const std::uint64_t case_seed = util::derive_seed(base_seed, s);
@@ -803,7 +760,7 @@ int main(int argc, char** argv) {
         }
 
         const std::vector<check::Violation> violations =
-            run_churn_battery(scenario, case_seed, options, tally);
+            run_churn_battery(scenario, case_seed, pool.get(), tally);
         if (violations.empty()) {
           if (!smoke && (s + 1) % 25 == 0)
             std::cout << "  " << (s + 1) << "/" << seeds << " seeds clean\n";
@@ -819,12 +776,11 @@ int main(int argc, char** argv) {
         print_violations(std::cerr, violations);
       }
 
-      std::cout << "fuzz_federation --churn (" << repair << ", " << threads
-                << " thread(s)): " << seeds << " seeds, " << tally.events
-                << " link events diffed against from-scratch rebuilds";
-      if (repair == "lazy")
-        std::cout << " (" << tally.lazy_diffs << " lazy repair sweeps)";
-      std::cout << ", " << tally.federation_checks
+      std::cout << "fuzz_federation --churn (" << threads << " thread(s)): "
+                << seeds << " seeds, " << tally.events
+                << " link events diffed against from-scratch rebuilds ("
+                << tally.paired_diffs << " diffs after two events), "
+                << tally.federation_checks
                 << " federation cross-checks, " << infeasible_workloads
                 << " infeasible workload draws, " << failures
                 << " failing seed(s)\n";

@@ -27,12 +27,14 @@
 # loop end to end with its bit-identical-to-open-loop assertions on.
 # Incremental routing maintenance rides along: qos_routing_test's
 # IncrementalUpdate suite and the fuzz_federation_churn_smoke family
-# (eager, --repair lazy, --threads 4) drive apply_link_* event sequences —
-# per-width-class invalidation, pending-event salvage floors, lazy
-# first-query repair behind double-checked locks, and pool-parallel dirty
-# re-sweeps — with a from-scratch oracle diff after every event, under the
-# same sanitizers.  ConcurrentLazyRepairsAreSafe races eight threads through
-# first-touch repairs of the same stale slots; TSan is load-bearing there.
+# (serial, --threads 4) drive apply_link_* event sequences — per-width-class
+# invalidation, pending-event salvage floors, first-query repair behind
+# double-checked locks, and pool-parallel repair through precompute_all —
+# with a from-scratch oracle diff, under the same sanitizers.
+# ConcurrentLazyRepairsAreSafe races eight threads through first-touch
+# repairs of the same stale slots, and server_test's
+# PresolveThreadsRepairStaleRoutingTrees has the daemon's pre-solve threads
+# repair the trees its admissions left stale; TSan is load-bearing there.
 # The federation server rides along, and TSan is load-bearing for it:
 # thread_pool_test (exception capture across workers), server_test (reader
 # threads racing the admitter, drain-on-stop), sflowd_smoke (whole daemon —

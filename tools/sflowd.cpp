@@ -4,7 +4,7 @@
 //          [--services K] [--instances-per-service M]
 //          [--algorithm sflow|optimal|fixed|random|path] [--floor F]
 //          [--presolve-threads T] [--request-seed R]
-//          [--max-queue-depth Q] [--routing-repair eager|lazy]
+//          [--max-queue-depth Q]
 //          [--metrics PATH] [--metrics-format prom|json] [--journal PATH]
 //       Builds the hosting scenario (server/hosting.hpp), listens on a unix
 //       stream socket at PATH, and serves length-prefixed frames
@@ -65,7 +65,7 @@ using namespace sflow;
       "         [--services K] [--instances-per-service M]\n"
       "         [--algorithm sflow|optimal|fixed|random|path] [--floor F]\n"
       "         [--presolve-threads T] [--request-seed R]\n"
-      "         [--max-queue-depth Q] [--routing-repair eager|lazy]\n"
+      "         [--max-queue-depth Q]\n"
       "         [--metrics PATH] [--metrics-format prom|json]\n"
       "         [--journal PATH]\n"
       "  sflowd --smoke [--clients K] [--requests R] [--seed S]\n";
@@ -165,11 +165,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
       static_cast<std::size_t>(get_long(flags, "presolve-threads", 2));
   config.max_queue_depth = static_cast<std::size_t>(get_long(
       flags, "max-queue-depth", static_cast<long>(config.max_queue_depth)));
-  if (const std::string repair = get(flags, "routing-repair", "eager");
-      repair == "lazy")
-    config.routing_repair = graph::AllPairsShortestWidest::RepairMode::kLazy;
-  else if (repair != "eager")
-    usage("bad --routing-repair '" + repair + "' (want eager|lazy)");
   if (const std::string floor = get(flags, "floor", ""); !floor.empty()) {
     try {
       config.admission.bandwidth_floor = std::stod(floor);
