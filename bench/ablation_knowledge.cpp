@@ -19,22 +19,16 @@ int main() {
       {1, "radius 1"}, {2, "radius 2 (paper)"}, {3, "radius 3"},
       {-1, "unlimited"}};
 
-  // One stateless federator per configuration, shared across every trial.
-  const auto optimal_fed = core::make_federator(core::Algorithm::kGlobalOptimal);
-  std::vector<std::pair<std::unique_ptr<core::Federator>, std::string>> sflow_feds;
-  for (const auto& [radius, label] : radii) {
-    core::SFlowNodeConfig node_config;
-    node_config.knowledge_radius = radius;
-    sflow_feds.emplace_back(
-        core::make_federator(core::Algorithm::kSflow, node_config), label);
-  }
-
   bench::sweep(config, [&](const core::Scenario& scenario, util::Rng& rng,
                            std::size_t size) {
-    const core::FederationOutcome optimal = optimal_fed->federate(scenario, rng);
+    const core::FederationOutcome optimal =
+        core::run_algorithm(core::Algorithm::kGlobalOptimal, scenario, rng);
     if (!optimal.success) return;
-    for (const auto& [federator, label] : sflow_feds) {
-      const core::FederationOutcome outcome = federator->federate(scenario, rng);
+    for (const auto& [radius, label] : radii) {
+      core::SFlowNodeConfig node_config;
+      node_config.knowledge_radius = radius;
+      const core::FederationOutcome outcome = core::run_algorithm(
+          core::Algorithm::kSflow, scenario, rng, node_config);
       if (!outcome.success) continue;
       coefficient.row(label, static_cast<double>(size))
           .add(overlay::ServiceFlowGraph::correctness_coefficient(outcome.graph,

@@ -20,17 +20,13 @@ int main() {
   util::SeriesTable delivered;
   util::SeriesTable retention;
 
-  std::vector<std::unique_ptr<core::Federator>> federators;
-  for (const core::Algorithm algorithm :
-       {core::Algorithm::kGlobalOptimal, core::Algorithm::kSflow,
-        core::Algorithm::kFixed, core::Algorithm::kRandom})
-    federators.push_back(core::make_federator(algorithm));
-
   bench::sweep(config, [&](const core::Scenario& scenario, util::Rng& rng,
                            std::size_t size) {
-    for (const auto& federator : federators) {
-      const core::Algorithm algorithm = federator->algorithm();
-      const core::FederationOutcome outcome = federator->federate(scenario, rng);
+    for (const core::Algorithm algorithm :
+         {core::Algorithm::kGlobalOptimal, core::Algorithm::kSflow,
+          core::Algorithm::kFixed, core::Algorithm::kRandom}) {
+      const core::FederationOutcome outcome =
+          core::run_algorithm(algorithm, scenario, rng);
       if (!outcome.success) continue;
       const net::ContentionReport report = net::evaluate_contention(
           scenario.overlay(), outcome.graph, scenario.underlay, *scenario.routing);

@@ -1,6 +1,7 @@
 // E7: google-benchmark microbenchmarks for the building blocks — the
-// Wang-Crowcroft routing core, abstract-graph construction, the solvers,
-// and the parallel evaluation engine (threads on the x axis).
+// Wang-Crowcroft routing core, the solvers (the baseline's flat abstract
+// arena DP among them), and the parallel evaluation engine (threads on the
+// x axis).
 #include <benchmark/benchmark.h>
 
 #include "core/baseline.hpp"
@@ -11,7 +12,6 @@
 #include "core/reduction.hpp"
 #include "graph/qos_routing.hpp"
 #include "net/generators.hpp"
-#include "overlay/abstract_graph.hpp"
 #include "satred/dpll.hpp"
 #include "satred/reduction.hpp"
 #include "util/rng.hpp"
@@ -74,16 +74,6 @@ core::Scenario bench_scenario(std::size_t network_size,
   params.requirement.shape = shape;
   return core::make_scenario(params, 99);
 }
-
-void BM_AbstractGraphBuild(benchmark::State& state) {
-  const core::Scenario scenario = bench_scenario(
-      static_cast<std::size_t>(state.range(0)), overlay::RequirementShape::kGenericDag);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(overlay::ServiceAbstractGraph(
-        scenario.overlay(), scenario.requirement, scenario.overlay_routing()));
-  }
-}
-BENCHMARK(BM_AbstractGraphBuild)->Arg(20)->Arg(50);
 
 void BM_BaselineChain(benchmark::State& state) {
   const core::Scenario scenario = bench_scenario(

@@ -18,9 +18,6 @@
 int main() {
   using namespace sflow;
 
-  const auto optimal_fed = core::make_federator(core::Algorithm::kGlobalOptimal);
-  const auto sflow_fed = core::make_federator(core::Algorithm::kSflow);
-
   {
     bench::SweepConfig config;
     config.trials_per_size = 15;
@@ -29,8 +26,10 @@ int main() {
     bench::sweep(config, [&](const core::Scenario& scenario, util::Rng& rng,
                              std::size_t size) {
       const auto x = static_cast<double>(size);
-      const core::FederationOutcome optimal = optimal_fed->federate(scenario, rng);
-      const core::FederationOutcome sflow = sflow_fed->federate(scenario, rng);
+      const core::FederationOutcome optimal =
+          core::run_algorithm(core::Algorithm::kGlobalOptimal, scenario, rng);
+      const core::FederationOutcome sflow =
+          core::run_algorithm(core::Algorithm::kSflow, scenario, rng);
       const auto tree = core::multicast_tree_federation(
           scenario.overlay(), scenario.requirement, scenario.overlay_routing());
       if (!optimal.success || !sflow.success || !tree) return;
@@ -52,8 +51,10 @@ int main() {
     bench::sweep(config, [&](const core::Scenario& scenario, util::Rng& rng,
                              std::size_t size) {
       const auto x = static_cast<double>(size);
-      const core::FederationOutcome optimal = optimal_fed->federate(scenario, rng);
-      const core::FederationOutcome sflow = sflow_fed->federate(scenario, rng);
+      const core::FederationOutcome optimal =
+          core::run_algorithm(core::Algorithm::kGlobalOptimal, scenario, rng);
+      const core::FederationOutcome sflow =
+          core::run_algorithm(core::Algorithm::kSflow, scenario, rng);
       if (!optimal.success || !sflow.success) return;
       const auto clusters =
           core::cluster_overlay(scenario.overlay(), *scenario.routing, 8.0);

@@ -1,8 +1,7 @@
 // Side-by-side comparison of all five federation algorithms on one random
 // scenario — a single-trial preview of the paper's Fig. 10 evaluation, and
-// the smallest demo of the unified Federator interface: every algorithm is
-// a core::Federator built by make_federator, every result a
-// core::FederationOutcome.
+// the smallest demo of the unified federation API: every algorithm runs
+// through core::run_algorithm, every result is a core::FederationOutcome.
 //
 //   $ ./examples/federation_compare [network_size] [seed]
 #include <cstdlib>
@@ -27,17 +26,16 @@ int main(int argc, char** argv) {
 
   util::Rng rng(seed);
   const core::FederationOutcome optimal =
-      core::make_federator(core::Algorithm::kGlobalOptimal)
-          ->federate(scenario, rng);
+      core::run_algorithm(core::Algorithm::kGlobalOptimal, scenario, rng);
 
   util::TablePrinter table({"algorithm", "ok", "bandwidth (Mbps)", "latency (ms)",
                             "correctness", "compute (us)"});
   core::FederationOutcome sflow;
   for (const core::Algorithm algorithm : core::all_algorithms()) {
-    const auto federator = core::make_federator(algorithm);
-    const core::FederationOutcome outcome = federator->federate(scenario, rng);
+    const core::FederationOutcome outcome =
+        core::run_algorithm(algorithm, scenario, rng);
     if (algorithm == core::Algorithm::kSflow) sflow = outcome;
-    std::vector<std::string> row{federator->name(),
+    std::vector<std::string> row{core::algorithm_name(algorithm),
                                  outcome.success ? "yes" : "no"};
     if (outcome.success) {
       row.push_back(util::TablePrinter::fmt(outcome.bandwidth, 2));

@@ -331,8 +331,7 @@ ValidationReport validate_admission_sequence(
     return report;
   }
 
-  const net::UnderlayRouting* routing =
-      config.charge_underlay ? scenario.routing.get() : nullptr;
+  const net::UnderlayRouting* routing = scenario.routing.get();
 
   // Replay each decision against the residual state at its decision time.
   overlay::ResidualOverlay view = scenario.view;

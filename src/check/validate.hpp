@@ -104,10 +104,10 @@ ValidationReport validate_conservation(
 /// residual state *at its decision time* — structural/quality validation of
 /// every admitted outcome on the residual overlay it was solved against
 /// (codes of validate_flow_graph), the granted rate's clamps (rate <=
-/// re-measured bottleneck; rate <= physical headroom when charging the
-/// underlay; rate >= the configured floor), rejected decisions charging
-/// nothing — then checks the replayed view agrees with the result's and runs
-/// the conservation oracle over the final admitted set.
+/// re-measured bottleneck; rate <= physical headroom; rate >= the
+/// configured floor), rejected decisions charging nothing — then checks the
+/// replayed view agrees with the result's and runs the conservation oracle
+/// over the final admitted set.
 ///
 /// Additional codes: admission-order, admission-rate, admission-floor,
 /// admission-rejected-rate, admission-view-mismatch.

@@ -56,24 +56,20 @@ AdmissionDecision apply_admission(const Scenario& scenario,
                                   std::size_t request_index,
                                   const AdmissionConfig& config,
                                   FederationOutcome outcome) {
-  if (config.charge_underlay && scenario.routing == nullptr)
-    throw std::invalid_argument(
-        "apply_admission: charge_underlay needs scenario.routing");
+  if (scenario.routing == nullptr)
+    throw std::invalid_argument("apply_admission: needs scenario.routing");
   AdmissionDecision decision;
   decision.request_index = request_index;
   decision.outcome = std::move(outcome);
   if (decision.outcome.success) {
-    double rate = decision.outcome.bandwidth;
-    if (config.charge_underlay)
-      rate = std::min(rate,
-                      view.underlay_headroom(decision.outcome.graph,
-                                             *scenario.routing,
-                                             scenario.underlay));
+    const double rate = std::min(
+        decision.outcome.bandwidth,
+        view.underlay_headroom(decision.outcome.graph, *scenario.routing,
+                               scenario.underlay));
     if (rate > 0.0 && rate >= config.bandwidth_floor) {
       decision.admitted = true;
       decision.rate = rate;
-      view.admit(decision.outcome.graph, rate,
-                 config.charge_underlay ? scenario.routing.get() : nullptr);
+      view.admit(decision.outcome.graph, rate, scenario.routing.get());
     }
   }
   return decision;
@@ -143,9 +139,8 @@ AdmissionResult run_admission_in_order(
   if (order.size() != requests.size())
     throw std::invalid_argument(
         "run_admission_in_order: order is not a permutation of the batch");
-  if (config.charge_underlay && scenario.routing == nullptr)
-    throw std::invalid_argument(
-        "run_admission_in_order: charge_underlay needs scenario.routing");
+  if (scenario.routing == nullptr)
+    throw std::invalid_argument("run_admission_in_order: needs scenario.routing");
 
   AdmissionResult result;
   result.view = scenario.view;  // cheap: shares the base snapshot

@@ -46,9 +46,6 @@ struct AdmissionConfig {
   /// Minimum granted rate (Mbps) for an admission to count; a solved flow
   /// whose rate lands below the floor is rejected and charges nothing.
   double bandwidth_floor = 1e-9;
-  /// When true, granted rates are clamped to physical headroom and charged
-  /// against underlay links too (requires scenario.routing).
-  bool charge_underlay = true;
   /// Parameters for the distributed algorithm; ignored by the others.
   SFlowNodeConfig sflow;
 };
@@ -88,9 +85,9 @@ FederationView admission_view(const Scenario& scenario,
                               const overlay::ServiceRequirement& requirement);
 
 /// Applies the admission policy to an already-solved `outcome` against live
-/// residual state: clamps the granted rate to physical headroom (when
-/// charging the underlay), applies the bandwidth floor, and — when admitted
-/// — charges `view`.  The outcome must have been solved on `view`'s residual
+/// residual state: clamps the granted rate to physical headroom, applies the
+/// bandwidth floor, and — when admitted — charges `view` (overlay and
+/// underlay links; requires scenario.routing).  The outcome must have been solved on `view`'s residual
 /// graph in its *current* generation, or the clamp/charge would be against
 /// state the solver never saw (sflowd checks the generation before reusing a
 /// batch pre-solve).

@@ -33,159 +33,78 @@ FederationView FederationView::of(const Scenario& scenario) {
 
 namespace {
 
-/// Fills the quality fields shared by every adapter.
-void finish(FederationOutcome& outcome,
-            std::optional<overlay::ServiceFlowGraph> graph) {
-  if (!graph) return;
-  outcome.success = true;
-  outcome.graph = std::move(*graph);
-  outcome.bandwidth = outcome.graph.bottleneck_bandwidth();
-  outcome.latency =
-      outcome.graph.end_to_end_latency(outcome.effective_requirement);
+/// Runs the solver `algorithm` names and returns its graph with the
+/// requirement it realizes (nullopt on failure).  The distributed algorithm
+/// also reports its protocol accounting and compute time into `outcome`.
+std::optional<FederationResult> solve(Algorithm algorithm,
+                                      const FederationView& view,
+                                      util::Rng& rng,
+                                      const SFlowNodeConfig& config,
+                                      FederationOutcome& outcome) {
+  const overlay::OverlayGraph& overlay = *view.overlay;
+  const overlay::ServiceRequirement& requirement = *view.requirement;
+  const graph::AllPairsShortestWidest& overlay_routing = *view.overlay_routing;
+  std::optional<overlay::ServiceFlowGraph> graph;
+  switch (algorithm) {
+    case Algorithm::kSflow: {
+      SFlowFederationResult result =
+          run_sflow_federation(*view.underlay, *view.routing, overlay,
+                               overlay_routing, requirement, config);
+      outcome.compute_time_us = result.compute_time_us;
+      outcome.messages = result.messages;
+      outcome.bytes = result.bytes;
+      outcome.federation_time_ms = result.federation_time_ms;
+      outcome.global_fallbacks = result.global_fallbacks;
+      graph = std::move(result.flow_graph);
+      break;
+    }
+    case Algorithm::kGlobalOptimal:
+      graph = optimal_flow_graph(overlay, requirement, overlay_routing);
+      break;
+    case Algorithm::kFixed:
+      return fixed_federation(overlay, requirement, overlay_routing);
+    case Algorithm::kRandom:
+      return random_federation(overlay, requirement, overlay_routing, rng);
+    case Algorithm::kServicePath:
+      return service_path_federation(overlay, requirement, overlay_routing,
+                                     /*serialize_dags=*/true);
+    case Algorithm::kServicePathStrict:
+      return service_path_federation(overlay, requirement, overlay_routing,
+                                     /*serialize_dags=*/false);
+    default:
+      throw std::invalid_argument("run_algorithm: unknown algorithm");
+  }
+  if (!graph) return std::nullopt;
+  return FederationResult{std::move(*graph), requirement};
 }
-
-class SflowFederator final : public Federator {
- public:
-  explicit SflowFederator(SFlowNodeConfig config) : config_(std::move(config)) {}
-
-  Algorithm algorithm() const noexcept override { return Algorithm::kSflow; }
-
-  FederationOutcome federate(const FederationView& view,
-                             util::Rng& /*rng*/) const override {
-    FederationOutcome outcome;
-    outcome.effective_requirement = *view.requirement;
-    SFlowFederationResult result = run_sflow_federation(
-        *view.underlay, *view.routing, *view.overlay, *view.overlay_routing,
-        *view.requirement, config_);
-    outcome.compute_time_us = result.compute_time_us;
-    outcome.messages = result.messages;
-    outcome.bytes = result.bytes;
-    outcome.federation_time_ms = result.federation_time_ms;
-    outcome.global_fallbacks = result.global_fallbacks;
-    finish(outcome, std::move(result.flow_graph));
-    return outcome;
-  }
-
- private:
-  SFlowNodeConfig config_;
-};
-
-class GlobalOptimalFederator final : public Federator {
- public:
-  Algorithm algorithm() const noexcept override {
-    return Algorithm::kGlobalOptimal;
-  }
-
-  FederationOutcome federate(const FederationView& view,
-                             util::Rng& /*rng*/) const override {
-    FederationOutcome outcome;
-    outcome.effective_requirement = *view.requirement;
-    util::Stopwatch watch;
-    finish(outcome, optimal_flow_graph(*view.overlay, *view.requirement,
-                                       *view.overlay_routing));
-    outcome.compute_time_us = watch.elapsed_us();
-    return outcome;
-  }
-};
-
-class FixedFederator final : public Federator {
- public:
-  Algorithm algorithm() const noexcept override { return Algorithm::kFixed; }
-
-  FederationOutcome federate(const FederationView& view,
-                             util::Rng& /*rng*/) const override {
-    FederationOutcome outcome;
-    outcome.effective_requirement = *view.requirement;
-    util::Stopwatch watch;
-    auto result = fixed_federation(*view.overlay, *view.requirement,
-                                   *view.overlay_routing);
-    if (result) {
-      outcome.effective_requirement = std::move(result->effective_requirement);
-      finish(outcome, std::move(result->graph));
-    }
-    outcome.compute_time_us = watch.elapsed_us();
-    return outcome;
-  }
-};
-
-class RandomFederator final : public Federator {
- public:
-  Algorithm algorithm() const noexcept override { return Algorithm::kRandom; }
-
-  FederationOutcome federate(const FederationView& view,
-                             util::Rng& rng) const override {
-    FederationOutcome outcome;
-    outcome.effective_requirement = *view.requirement;
-    util::Stopwatch watch;
-    auto result = random_federation(*view.overlay, *view.requirement,
-                                    *view.overlay_routing, rng);
-    if (result) {
-      outcome.effective_requirement = std::move(result->effective_requirement);
-      finish(outcome, std::move(result->graph));
-    }
-    outcome.compute_time_us = watch.elapsed_us();
-    return outcome;
-  }
-};
-
-class ServicePathFederator final : public Federator {
- public:
-  explicit ServicePathFederator(bool serialize_dags)
-      : serialize_dags_(serialize_dags) {}
-
-  Algorithm algorithm() const noexcept override {
-    return serialize_dags_ ? Algorithm::kServicePath
-                           : Algorithm::kServicePathStrict;
-  }
-
-  FederationOutcome federate(const FederationView& view,
-                             util::Rng& /*rng*/) const override {
-    FederationOutcome outcome;
-    outcome.effective_requirement = *view.requirement;
-    util::Stopwatch watch;
-    auto result = service_path_federation(*view.overlay, *view.requirement,
-                                          *view.overlay_routing, serialize_dags_);
-    if (result) {
-      outcome.effective_requirement = std::move(result->effective_requirement);
-      finish(outcome, std::move(result->graph));
-    }
-    outcome.compute_time_us = watch.elapsed_us();
-    return outcome;
-  }
-
- private:
-  bool serialize_dags_;
-};
 
 }  // namespace
 
-std::unique_ptr<Federator> make_federator(Algorithm algorithm,
-                                          const SFlowNodeConfig& config) {
-  switch (algorithm) {
-    case Algorithm::kSflow:
-      return std::make_unique<SflowFederator>(config);
-    case Algorithm::kGlobalOptimal:
-      return std::make_unique<GlobalOptimalFederator>();
-    case Algorithm::kFixed:
-      return std::make_unique<FixedFederator>();
-    case Algorithm::kRandom:
-      return std::make_unique<RandomFederator>();
-    case Algorithm::kServicePath:
-      return std::make_unique<ServicePathFederator>(/*serialize_dags=*/true);
-    case Algorithm::kServicePathStrict:
-      return std::make_unique<ServicePathFederator>(/*serialize_dags=*/false);
+FederationOutcome run_algorithm(Algorithm algorithm, const FederationView& view,
+                                util::Rng& rng, const SFlowNodeConfig& config) {
+  FederationOutcome outcome;
+  const util::Stopwatch watch;
+  std::optional<FederationResult> result =
+      solve(algorithm, view, rng, config, outcome);
+  if (result) {
+    outcome.success = true;
+    outcome.graph = std::move(result->graph);
+    outcome.effective_requirement = std::move(result->effective_requirement);
+    outcome.bandwidth = outcome.graph.bottleneck_bandwidth();
+    outcome.latency =
+        outcome.graph.end_to_end_latency(outcome.effective_requirement);
+  } else {
+    outcome.effective_requirement = *view.requirement;
   }
-  throw std::invalid_argument("make_federator: unknown algorithm");
+  // The distributed algorithm reports the nodes' summed compute time; the
+  // centralized ones are timed here, solve through quality.
+  if (algorithm != Algorithm::kSflow) outcome.compute_time_us = watch.elapsed_us();
+  return outcome;
 }
 
 FederationOutcome run_algorithm(Algorithm algorithm, const Scenario& scenario,
                                 util::Rng& rng, const SFlowNodeConfig& config) {
-  return make_federator(algorithm, config)->federate(scenario, rng);
-}
-
-FederationOutcome run_algorithm(Algorithm algorithm, const FederationView& view,
-                                util::Rng& rng, const SFlowNodeConfig& config) {
-  return make_federator(algorithm, config)->federate(view, rng);
+  return run_algorithm(algorithm, FederationView::of(scenario), rng, config);
 }
 
 }  // namespace sflow::core

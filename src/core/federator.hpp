@@ -1,28 +1,20 @@
-// The unified federation API: one polymorphic interface over the paper's
-// five algorithms, one result struct for all of them.
+// The unified federation API: one entry point over the paper's five
+// algorithms, one result struct for all of them.
 //
-// Before this interface existed the algorithms were five unrelated free
-// functions with five incompatible result types; every bench re-implemented
-// the metric extraction.  A Federator adapter normalizes each into
-//
-//     FederationOutcome federate(scenario, rng) const
-//
-// where the outcome carries the flow graph, its quality, the compute time,
-// and — for the distributed algorithm — the protocol's message/byte
-// accounting.  Adapters are stateless (configuration is captured at
-// construction), so a single federator may serve any number of threads
-// concurrently; all per-trial randomness enters through `rng`.
+// The algorithms are five unrelated solvers with incompatible result types;
+// run_algorithm normalizes each into a FederationOutcome carrying the flow
+// graph, its quality, the compute time, and — for the distributed algorithm
+// — the protocol's message/byte accounting.  It holds no state, so any
+// number of threads may call it concurrently; all per-trial randomness
+// enters through `rng`.
 //
 // Solvers read the overlay and its link-state database through a
 // FederationView — a window assembled from a ResidualOverlay (pristine at
 // generation 0, capacity-depleted after admissions) — never from mutable
-// OverlayGraph state.  federate(Scenario) is the single-request convenience:
-// it views the scenario's own residual state, so a fresh scenario solves on
-// the base snapshot bit-identically to the pre-view API.
+// OverlayGraph state.  The Scenario overload is the single-request
+// convenience: it views the scenario's own residual state, so a fresh
+// scenario solves on the base snapshot.
 #pragma once
-
-#include <memory>
-#include <string>
 
 #include "core/scenario.hpp"
 #include "core/sflow_node.hpp"
@@ -57,7 +49,7 @@ struct FederationOutcome {
 };
 
 /// A solver's read-only window onto one federation problem.  All pointers
-/// are non-owning; the referenced state must outlive the federate() call.
+/// are non-owning; the referenced state must outlive the run_algorithm call.
 /// Assemble one per request from a ResidualOverlay (FederationView::of, or
 /// by hand for custom residual state) — this is how K concurrent requests
 /// share one immutable base snapshot while each sees the capacity its
@@ -81,40 +73,17 @@ struct FederationView {
   }
 };
 
-/// Polymorphic federation algorithm.
-class Federator {
- public:
-  virtual ~Federator() = default;
-
-  virtual Algorithm algorithm() const noexcept = 0;
-  std::string name() const { return algorithm_name(algorithm()); }
-
-  /// Runs one federation on the view.  `rng` feeds stochastic selection
-  /// (only the random algorithm draws from it).  Implementations are const
-  /// and share no mutable state, so one instance may be used from many
-  /// threads as long as each thread passes its own Rng.
-  virtual FederationOutcome federate(const FederationView& view,
-                                     util::Rng& rng) const = 0;
-
-  /// Single-request convenience: federates the scenario's own view.
-  FederationOutcome federate(const Scenario& scenario, util::Rng& rng) const {
-    return federate(FederationView::of(scenario), rng);
-  }
-};
-
-/// Builds the adapter for `algorithm`.  `config` parameterizes the
-/// distributed algorithm (knowledge radius, reduction toggles) and is
-/// ignored by the centralized ones.
-std::unique_ptr<Federator> make_federator(Algorithm algorithm,
-                                          const SFlowNodeConfig& config = {});
-
-/// Runs one algorithm on a scenario — a thin wrapper over
-/// make_federator(algorithm, config)->federate(scenario, rng), kept for the
-/// one-shot call sites.
-FederationOutcome run_algorithm(Algorithm algorithm, const Scenario& scenario,
+/// Runs one federation of `algorithm` on the view.  `rng` feeds stochastic
+/// selection (only the random algorithm draws from it); `config`
+/// parameterizes the distributed algorithm (knowledge radius, reduction
+/// toggles) and is ignored by the centralized ones.  Throws
+/// std::invalid_argument for an unknown algorithm.
+FederationOutcome run_algorithm(Algorithm algorithm, const FederationView& view,
                                 util::Rng& rng,
                                 const SFlowNodeConfig& config = {});
-FederationOutcome run_algorithm(Algorithm algorithm, const FederationView& view,
+
+/// Single-request convenience: federates the scenario's own view.
+FederationOutcome run_algorithm(Algorithm algorithm, const Scenario& scenario,
                                 util::Rng& rng,
                                 const SFlowNodeConfig& config = {});
 

@@ -42,10 +42,6 @@ util::ThreadPool& ParallelSweepRunner::pool() const {
   return *pool_;
 }
 
-util::ThreadPool* ParallelSweepRunner::pool_if_parallel() const {
-  return threads_ <= 1 ? nullptr : &pool();
-}
-
 TrialResult ParallelSweepRunner::run_trial(const TrialSpec& trial) {
   const Scenario scenario = make_scenario(trial.params, trial.scenario_seed);
   TrialResult result;
@@ -57,8 +53,7 @@ TrialResult ParallelSweepRunner::run_trial(const TrialSpec& trial) {
     util::Rng rng(util::derive_seed(trial.scenario_seed,
                                     kAlgorithmStream + slot));
     result.outcomes.push_back(
-        make_federator(trial.algorithms[slot], trial.config)
-            ->federate(scenario, rng));
+        run_algorithm(trial.algorithms[slot], scenario, rng, trial.config));
   }
   return result;
 }
@@ -82,17 +77,6 @@ std::vector<TrialResult> ParallelSweepRunner::run(
   }
   pool().parallel_for(0, trials.size(), timed_trial);
   return results;
-}
-
-void ParallelSweepRunner::for_each(
-    std::size_t count, const std::function<void(std::size_t)>& body) const {
-  if (threads_ == 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  // parallel_for submits at most min(pool size, count) tasks, so a batch
-  // smaller than the pool just leaves workers idle.
-  pool().parallel_for(0, count, body);
 }
 
 }  // namespace sflow::core

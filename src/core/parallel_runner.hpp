@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -56,28 +55,12 @@ class ParallelSweepRunner {
   /// trials are abandoned).
   std::vector<TrialResult> run(const std::vector<TrialSpec>& trials) const;
 
-  /// Generic fan-out on the same thread budget: body(i) for every i in
-  /// [0, count), serial on the caller's thread at threads() == 1 (identical
-  /// code path).  Exceptions propagate as in run().  This is what sflowd's
-  /// batch pre-solve rides on — the body must be safe to run concurrently
-  /// with itself (read-only federation solves are).
-  void for_each(std::size_t count,
-                const std::function<void(std::size_t)>& body) const;
-
   /// The per-trial function both the serial and the parallel path execute.
   static TrialResult run_trial(const TrialSpec& trial);
 
-  /// The underlying worker pool when this runner is parallel, nullptr at
-  /// threads() == 1 — lets consumers hand the same thread budget to APIs
-  /// that take a ThreadPool directly (e.g. the routing database's parallel
-  /// precompute_all and update-pool fan-out) without owning a second pool.
-  util::ThreadPool* pool_if_parallel() const;
-
  private:
   /// The worker pool, created once on first parallel use and reused across
-  /// run()/for_each() calls — sflowd pre-solves every admitter batch through
-  /// for_each, so per-call pool construction would put thread spawn/join on
-  /// the serve hot path.
+  /// run() calls.
   util::ThreadPool& pool() const;
 
   std::size_t threads_;

@@ -213,7 +213,7 @@ RetargetedRouting retarget_routing(
         std::make_unique<graph::AllPairsShortestWidest>(target.graph());
     obs::Registry::global()
         .counter("routing_full_rebuilds_total",
-                 "routing database rebuilds that could not stay incremental")
+                 "routing database rebuilds forced by a roster change")
         .increment();
     return result;
   }

@@ -5,8 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "obs/metrics.hpp"
-
 namespace sflow::overlay {
 
 namespace {
@@ -21,25 +19,6 @@ double ledger_get(const std::unordered_map<std::uint64_t, double>& ledger,
                   std::uint64_t key) {
   const auto it = ledger.find(key);
   return it == ledger.end() ? 0.0 : it->second;
-}
-
-/// Admission-path observability: how many admits retargeted the routing
-/// database in place versus rebuilding it.  The rebuild counter is the same
-/// `routing_full_rebuilds_total` core::retarget_routing reports roster-change
-/// rebuilds into — both are fresh builds the incremental path could not
-/// avoid.
-struct ResidualMetrics {
-  obs::Counter& incremental_admissions = obs::Registry::global().counter(
-      "residual_incremental_admissions_total",
-      "admissions that retargeted the routing database in place");
-  obs::Counter& full_rebuilds = obs::Registry::global().counter(
-      "routing_full_rebuilds_total",
-      "routing database rebuilds that could not stay incremental");
-};
-
-ResidualMetrics& residual_metrics() {
-  static ResidualMetrics instance;
-  return instance;
 }
 
 }  // namespace
@@ -152,31 +131,26 @@ void ResidualOverlay::rebuild(
   }
   graph_ = std::make_shared<const OverlayGraph>(std::move(residual));
 
-  // Routing database: when this view is the database's sole owner, apply the
-  // admission as per-link events — consumption only shrinks capacities, so a
-  // charged link either re-weights (still has headroom) or drops
-  // (saturated).  The retargeted database answers every query bit-identically
-  // to a fresh build over the residual graph (its internal Digraph differs
-  // only in edge numbering, which the sweep provably never observes).  A
-  // shared database — copied view, or a caller holding routing_ptr() — must
-  // not mutate under its other owners, so those admissions build fresh.
-  if (routing_.use_count() == 1) {
-    for (const auto& [from, to] : changed_links) {
-      const graph::EdgeIndex e = routing_->graph().find_edge(from, to);
-      if (e == graph::kInvalidEdge) continue;  // saturated by an earlier admit
-      const double residual_bw = overlay_residual(from, to);
-      if (residual_bw > 0.0) {
-        graph::LinkMetrics metrics = routing_->graph().edge(e).metrics;
-        metrics.bandwidth = residual_bw;
-        routing_->apply_link_reweight(from, to, metrics);
-      } else {
-        routing_->apply_link_remove(from, to);
-      }
+  // Routing database: apply the admission as per-link events — consumption
+  // only shrinks capacities, so a charged link either re-weights (still has
+  // headroom) or drops (saturated).  The retargeted database answers every
+  // query bit-identically to a fresh build over the residual graph (its
+  // internal Digraph differs only in edge numbering, which the sweep provably
+  // never observes).  A database shared with a copied view must not mutate
+  // under its other owner, so this view takes a private clone first — built
+  // trees included, so the copy stays warm.
+  if (routing_.use_count() > 1) routing_ = routing_->clone();
+  for (const auto& [from, to] : changed_links) {
+    const graph::EdgeIndex e = routing_->graph().find_edge(from, to);
+    if (e == graph::kInvalidEdge) continue;  // saturated by an earlier admit
+    const double residual_bw = overlay_residual(from, to);
+    if (residual_bw > 0.0) {
+      graph::LinkMetrics metrics = routing_->graph().edge(e).metrics;
+      metrics.bandwidth = residual_bw;
+      routing_->apply_link_reweight(from, to, metrics);
+    } else {
+      routing_->apply_link_remove(from, to);
     }
-    residual_metrics().incremental_admissions.increment();
-  } else {
-    routing_ = std::make_shared<graph::AllPairsShortestWidest>(graph_->graph());
-    residual_metrics().full_rebuilds.increment();
   }
 }
 

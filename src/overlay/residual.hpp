@@ -15,15 +15,15 @@
 //  * the *residual* graph is materialized once per admission (copy-on-write:
 //    at generation 0 the residual graph IS the base pointer, so a pristine
 //    view is bit-identical to solving on the base directly);
-//  * the all-pairs shortest-widest database is *retargeted in place* when
-//    this view is the database's sole owner: each link the admitted flow
-//    charged becomes one apply_link_reweight (capacity shrank) or
-//    apply_link_remove (saturated) on the incremental database, invalidating
-//    only the source trees the event can touch instead of rebuilding all of
-//    them.  When the database is shared (a copied view, or a caller holding
-//    routing_ptr()) the view falls back to a fresh build so no observer sees
-//    a database mutate under it.  Either way the query results are
-//    bit-identical — pinned by the admission and churn-fuzz suites.
+//  * the all-pairs shortest-widest database is *retargeted*: each link the
+//    admitted flow charged becomes one apply_link_reweight (capacity shrank)
+//    or apply_link_remove (saturated) on the incremental database,
+//    invalidating only the source trees the event can touch instead of
+//    rebuilding all of them.  The database is copy-on-write: a copied view
+//    shares it until its first admission, which first clones it (every
+//    built tree comes along) so no other owner sees it mutate.  The query
+//    results are bit-identical to a fresh build over the residual graph —
+//    pinned by the admission and churn-fuzz suites.
 //
 // A link is charged once per admitted flow, not once per traversal: a flow's
 // rate is a single stream fanned through its realized edges, and charging
@@ -85,9 +85,6 @@ class ResidualOverlay {
 
   /// Shortest-widest link-state database over the residual graph.
   const graph::AllPairsShortestWidest& routing() const { return *routing_; }
-  std::shared_ptr<const graph::AllPairsShortestWidest> routing_ptr() const noexcept {
-    return routing_;
-  }
 
   /// Number of admissions applied to this view.
   std::uint64_t generation() const noexcept { return admitted_.size(); }
@@ -117,8 +114,8 @@ class ResidualOverlay {
   /// Admits `flow` at `rate`: charges `rate` against every distinct overlay
   /// link the flow traverses and, when `routing` is given, every distinct
   /// underlay link beneath its overlay hops; then rematerializes the
-  /// residual graph and retargets the routing database (incrementally when
-  /// solely owned — see the file comment).  Throws std::invalid_argument on
+  /// residual graph and retargets the routing database (cloning it first
+  /// when shared — see the file comment).  Throws std::invalid_argument on
   /// a non-positive rate or an invalid view.
   void admit(const ServiceFlowGraph& flow, double rate,
              const net::UnderlayRouting* routing = nullptr);
@@ -133,6 +130,7 @@ class ResidualOverlay {
   std::shared_ptr<const OverlayGraph> base_;
   std::shared_ptr<const OverlayGraph> graph_;
   /// Non-const so the sole owner can retarget it; exposed const-only.
+  /// Shared between copied views until one of them admits.
   std::shared_ptr<graph::AllPairsShortestWidest> routing_;
   /// Consumption ledgers, keyed by the packed (from, to) pair.
   std::unordered_map<std::uint64_t, double> overlay_used_;

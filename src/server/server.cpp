@@ -84,14 +84,16 @@ Server::Server(core::Scenario scenario, ServerConfig config)
     : scenario_(std::move(scenario)),
       config_(std::move(config)),
       view_(scenario_.view),
-      presolver_(config_.presolve_threads),
       catalog_text_(catalog_listing(scenario_)) {
+  if (config_.presolve_threads > 1)
+    presolve_pool_ = std::make_unique<util::ThreadPool>(config_.presolve_threads);
   // Warm every source tree before the first request: the batch pre-solve
   // queries the database from multiple threads, and a warm cache turns those
-  // first-touch Dijkstra builds into wait-free pointer loads.  Reuses the
-  // pre-solve pool when it exists.
-  if (util::ThreadPool* pool = presolver_.pool_if_parallel())
-    view_.routing().precompute_all(*pool);
+  // first-touch Dijkstra builds into wait-free pointer loads.  The first
+  // admission clones the warm database (view_ shares it with scenario_), so
+  // the warm-up carries over.  Reuses the pre-solve pool when it exists.
+  if (presolve_pool_)
+    view_.routing().precompute_all(*presolve_pool_);
   else
     view_.routing().precompute_all();
   admitter_ = std::thread(&Server::admitter_loop, this);
@@ -336,9 +338,9 @@ void Server::serve_batch(std::vector<QueuedFrame> batch) {
   // and each request owns its derived rng.
   std::vector<std::optional<core::FederationOutcome>> presolved(slots.size());
   const std::uint64_t presolve_generation = view_.generation();
-  if (slots.size() - parse_failures > 1 && presolver_.threads() > 1) {
+  if (slots.size() - parse_failures > 1 && presolve_pool_) {
     try {
-      presolver_.for_each(slots.size(), [&](std::size_t i) {
+      presolve_pool_->parallel_for(0, slots.size(), [&](std::size_t i) {
         if (!slots[i].requirement) return;
         util::Rng rng(util::derive_seed(config_.seed, slots[i].sequence));
         presolved[i] = core::run_algorithm(

@@ -22,9 +22,9 @@
 //                      frame (catalog interning is single-threaded by
 //                      construction), assigns arrival-order sequence
 //                      numbers, pre-solves the batch read-only in parallel
-//                      (ParallelSweepRunner::for_each over the shared
-//                      routing database, which is safe for concurrent const
-//                      queries), then commits in sequence order.
+//                      (a util::ThreadPool over the shared routing database,
+//                      which is safe for concurrent const queries), then
+//                      commits in sequence order.
 //
 // Determinism contract: request i draws util::derive_seed(seed, i) and is
 // committed through the same core::admit_one the batch solver iterates, so
@@ -52,21 +52,24 @@
 #include <vector>
 
 #include "core/admission.hpp"
-#include "core/parallel_runner.hpp"
 #include "core/scenario.hpp"
 #include "obs/metrics.hpp"
+
+namespace sflow::util {
+class ThreadPool;
+}
 
 namespace sflow::server {
 
 struct ServerConfig {
-  /// Per-request policy: algorithm, bandwidth floor, underlay charging.
+  /// Per-request policy: algorithm, bandwidth floor, sFlow parameters.
   core::AdmissionConfig admission;
   /// Request-stream seed; request i draws derive_seed(seed, i).
   std::uint64_t seed = 0;
   /// Threads for the read-only batch pre-solve (1 = commit-path only; the
   /// commit itself is always serial — that is what the determinism pin
   /// rests on).
-  std::size_t presolve_threads = 1;
+  std::size_t presolve_threads = 2;
   /// High-water mark for the requirement queue.  A reader that would push
   /// past it parks until the admitter drains, so an open-loop client that
   /// outpaces the solver stalls its own pipeline (per-connection
@@ -191,7 +194,8 @@ class Server {
   core::Scenario scenario_;
   ServerConfig config_;
   overlay::ResidualOverlay view_;
-  core::ParallelSweepRunner presolver_;
+  /// The batch pre-solve's workers; null at presolve_threads <= 1.
+  std::unique_ptr<util::ThreadPool> presolve_pool_;
   /// GET /catalog response, precomputed so readers never touch the catalog
   /// (the admitter may intern new names from client requirements).
   std::string catalog_text_;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "overlay/abstract_graph.hpp"
 #include "overlay/flow_graph.hpp"
 #include "test_helpers.hpp"
 
@@ -8,61 +7,6 @@ namespace sflow::overlay {
 namespace {
 
 using testing::DiamondFixture;
-
-class AbstractGraphTest : public ::testing::Test {
- protected:
-  DiamondFixture fixture_;
-  graph::AllPairsShortestWidest routing_{fixture_.overlay.graph()};
-};
-
-TEST_F(AbstractGraphTest, LayersMatchInstances) {
-  const ServiceAbstractGraph abstract(fixture_.overlay, fixture_.requirement,
-                                      routing_);
-  EXPECT_EQ(abstract.layer(0).size(), 1u);
-  EXPECT_EQ(abstract.layer(1).size(), 2u);
-  EXPECT_EQ(abstract.layer(2).size(), 2u);
-  EXPECT_EQ(abstract.layer(3).size(), 1u);
-  EXPECT_EQ(abstract.candidate_count(), 6u);
-  EXPECT_THROW(abstract.layer(9), std::invalid_argument);
-}
-
-TEST_F(AbstractGraphTest, EdgesCarryShortestWidestQualities) {
-  const ServiceAbstractGraph abstract(fixture_.overlay, fixture_.requirement,
-                                      routing_);
-  // Find abstract nodes for S0@overlay0 and S1@overlay2 (the wide instance).
-  const auto a = abstract.node_of(0, 0);
-  const auto b = abstract.node_of(1, 2);
-  ASSERT_TRUE(a && b);
-  const graph::EdgeIndex e = abstract.graph().find_edge(*a, *b);
-  ASSERT_NE(e, graph::kInvalidEdge);
-  const graph::PathQuality q = routing_.quality(0, 2);
-  EXPECT_DOUBLE_EQ(abstract.graph().edge(e).metrics.bandwidth, q.bandwidth);
-  EXPECT_DOUBLE_EQ(abstract.graph().edge(e).metrics.latency, q.latency);
-  // No edges within a layer.
-  const auto c = abstract.node_of(1, 1);
-  ASSERT_TRUE(c);
-  EXPECT_EQ(abstract.graph().find_edge(*b, *c), graph::kInvalidEdge);
-}
-
-TEST_F(AbstractGraphTest, PinsNarrowLayers) {
-  ServiceRequirement pinned = fixture_.requirement;
-  pinned.pin(1, 2);  // NID 2 hosts the wide S1 instance (overlay index 2)
-  const ServiceAbstractGraph abstract(fixture_.overlay, pinned, routing_);
-  EXPECT_EQ(abstract.layer(1).size(), 1u);
-  EXPECT_EQ(abstract.candidate(abstract.layer(1).front()).instance, 2);
-}
-
-TEST_F(AbstractGraphTest, MissingInstanceOrBadPinThrows) {
-  ServiceRequirement missing = fixture_.requirement;
-  missing.add_edge(3, 9);  // service 9 has no instance
-  EXPECT_THROW(ServiceAbstractGraph(fixture_.overlay, missing, routing_),
-               std::invalid_argument);
-
-  ServiceRequirement bad_pin = fixture_.requirement;
-  bad_pin.pin(1, 5);  // NID 5 hosts service 3, not 1
-  EXPECT_THROW(ServiceAbstractGraph(fixture_.overlay, bad_pin, routing_),
-               std::invalid_argument);
-}
 
 class FlowGraphTest : public ::testing::Test {
  protected:

@@ -25,6 +25,7 @@
 #include "core/admission.hpp"
 #include "core/federator.hpp"
 #include "core/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "overlay/residual.hpp"
 #include "test_helpers.hpp"
 
@@ -162,6 +163,62 @@ TEST(ResidualOverlay, UnderlayLedgerChargesRoutesBeneathOverlayHops) {
     expect = std::min(expect,
                       scenario.underlay.link_metrics(from, to).bandwidth - rate);
   EXPECT_EQ(headroom, expect);
+}
+
+/// Every pair of `view`'s routing database answers exactly like a fresh
+/// database over the view's residual graph — qualities and paths.
+void expect_routing_matches_fresh_build(const overlay::ResidualOverlay& view) {
+  const graph::AllPairsShortestWidest fresh(view.graph().graph());
+  const auto n = static_cast<graph::NodeIndex>(fresh.node_count());
+  ASSERT_EQ(view.routing().node_count(), fresh.node_count());
+  for (graph::NodeIndex from = 0; from < n; ++from)
+    for (graph::NodeIndex to = 0; to < n; ++to) {
+      EXPECT_EQ(view.routing().quality(from, to), fresh.quality(from, to))
+          << from << " -> " << to;
+      EXPECT_EQ(view.routing().path(from, to), fresh.path(from, to))
+          << from << " -> " << to;
+    }
+}
+
+// A copied view shares the warm routing database; its first admission clones
+// it (copy-on-write) instead of building a fresh one, so every tree the
+// admission's link events left clean stays cached on the copy, and the
+// original never sees the database mutate.
+TEST(ResidualOverlay, AdmitOnCopiedWarmViewClonesTheRoutingDatabase) {
+  // A scenario whose admission leaves some source trees clean (on denser
+  // ones every tree is dirtied), so the cached-tree check below has teeth.
+  const core::Scenario scenario =
+      core::make_scenario(testing::small_workload(16), 7);
+  overlay::ResidualOverlay warm = scenario.view;
+  warm.routing().precompute_all();
+  overlay::ResidualOverlay copy = warm;
+
+  util::Rng rng(7);
+  const core::FederationOutcome outcome = core::run_algorithm(
+      Algorithm::kGlobalOptimal,
+      core::admission_view(scenario, copy, scenario.requirement), rng);
+  ASSERT_TRUE(outcome.success);
+
+  obs::Counter& full_rebuilds =
+      obs::Registry::global().counter("routing_full_rebuilds_total");
+  const std::uint64_t full_rebuilds_before = full_rebuilds.value();
+  copy.admit(outcome.graph, outcome.bandwidth / 2.0, scenario.routing.get());
+  EXPECT_EQ(full_rebuilds.value(), full_rebuilds_before);
+
+  std::size_t clean = 0;
+  for (graph::NodeIndex s = 0;
+       s < static_cast<graph::NodeIndex>(copy.routing().node_count()); ++s) {
+    EXPECT_TRUE(warm.routing().tree_cached(s)) << "source " << s;
+    if (copy.routing().tree_stale(s)) continue;
+    EXPECT_TRUE(copy.routing().tree_cached(s)) << "source " << s;
+    ++clean;
+  }
+  EXPECT_GT(clean, 0u);
+
+  EXPECT_EQ(warm.generation(), 0u);
+  EXPECT_EQ(copy.generation(), 1u);
+  expect_routing_matches_fresh_build(warm);
+  expect_routing_matches_fresh_build(copy);
 }
 
 // ---------------------------------------------------------------------------

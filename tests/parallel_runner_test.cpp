@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -140,31 +141,25 @@ TEST(ParallelSweepRunner, PropagatesTrialErrors) {
   EXPECT_THROW(ParallelSweepRunner(4).run({bad}), std::invalid_argument);
 }
 
-/// run_algorithm is now a thin wrapper over make_federator: both paths must
-/// agree outcome-for-outcome given equal Rngs.
-TEST(Federator, RunAlgorithmMatchesFederateCall) {
-  const Scenario scenario = make_scenario(testing::small_workload(14), 11);
-  for (const Algorithm algorithm : all_algorithms()) {
-    util::Rng a(99);
-    util::Rng b(99);
-    const FederationOutcome via_wrapper =
-        run_algorithm(algorithm, scenario, a);
-    const FederationOutcome via_interface =
-        make_federator(algorithm)->federate(scenario, b);
-    EXPECT_TRUE(via_wrapper.deterministically_equal(via_interface))
-        << algorithm_name(algorithm);
-  }
-}
-
+/// run_algorithm dispatches on every algorithm, each under its own name;
+/// an out-of-range value is rejected rather than silently solved.
 TEST(Federator, NamesAndAlgorithmsRoundTrip) {
+  const Scenario scenario = make_scenario(testing::small_workload(14), 11);
+  std::set<std::string> names;
   for (const Algorithm algorithm :
        {Algorithm::kSflow, Algorithm::kGlobalOptimal, Algorithm::kFixed,
         Algorithm::kRandom, Algorithm::kServicePath,
         Algorithm::kServicePathStrict}) {
-    const auto federator = make_federator(algorithm);
-    EXPECT_EQ(federator->algorithm(), algorithm);
-    EXPECT_EQ(federator->name(), algorithm_name(algorithm));
+    EXPECT_TRUE(names.insert(algorithm_name(algorithm)).second);
+    util::Rng rng(99);
+    EXPECT_NO_THROW(run_algorithm(algorithm, scenario, rng))
+        << algorithm_name(algorithm);
   }
+  util::Rng rng(99);
+  EXPECT_THROW(run_algorithm(static_cast<Algorithm>(7), scenario, rng),
+               std::invalid_argument);
+  EXPECT_THROW(algorithm_name(static_cast<Algorithm>(7)),
+               std::invalid_argument);
 }
 
 }  // namespace

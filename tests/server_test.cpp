@@ -280,7 +280,9 @@ TEST(Server, DrainOnStopAnswersEverythingBitIdenticalToSequentialReplay) {
 // Admissions leave routing trees stale; the next batch's pre-solve threads
 // repair them on first query, racing each other on the per-slot mutex
 // (TSan-load-bearing).  Pipelined rounds, each waited out before the next,
-// keep admissions landing between batches.
+// keep admissions landing between batches.  No admission builds a routing
+// database from scratch: the first one clones the warm database the admitter
+// shares with the hosting scenario.
 TEST(Server, PresolveThreadsRepairStaleRoutingTrees) {
   constexpr std::size_t kRequestsPerRound = 6;
   constexpr std::size_t kMaxRounds = 40;
@@ -288,8 +290,11 @@ TEST(Server, PresolveThreadsRepairStaleRoutingTrees) {
       obs::Registry::global().counter("routing_lazy_repairs_total");
   obs::Counter& batches =
       obs::Registry::global().counter("server_batches_total");
+  obs::Counter& full_rebuilds =
+      obs::Registry::global().counter("routing_full_rebuilds_total");
   const std::uint64_t repairs_before = repairs.value();
   const std::uint64_t batches_before = batches.value();
+  const std::uint64_t full_rebuilds_before = full_rebuilds.value();
 
   auto server = make_server(/*floor=*/1e-9, /*presolve_threads=*/4,
                             /*max_queue_depth=*/4096,
@@ -327,6 +332,7 @@ TEST(Server, PresolveThreadsRepairStaleRoutingTrees) {
   EXPECT_GT(admitted, 1u);
   EXPECT_LT(batches.value() - batches_before, served);  // a pre-solve ran
   EXPECT_GT(repairs.value(), repairs_before);
+  EXPECT_EQ(full_rebuilds.value(), full_rebuilds_before);
   expect_replay_identical(*server);
 }
 

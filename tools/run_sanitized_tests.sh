@@ -33,8 +33,11 @@
 # with a from-scratch oracle diff, under the same sanitizers.
 # ConcurrentLazyRepairsAreSafe races eight threads through first-touch
 # repairs of the same stale slots, and server_test's
-# PresolveThreadsRepairStaleRoutingTrees has the daemon's pre-solve threads
-# repair the trees its admissions left stale; TSan is load-bearing there.
+# PresolveThreadsRepairStaleRoutingTrees has the daemon's pre-solve pool (a
+# util::ThreadPool) repair the trees its admissions left stale, on the
+# database the first admission cloned from the warm one the admitter shares
+# with its hosting scenario (copy-on-write, admission_test pins the clone);
+# TSan is load-bearing there.
 # The federation server rides along, and TSan is load-bearing for it:
 # thread_pool_test (exception capture across workers), server_test (reader
 # threads racing the admitter, drain-on-stop), sflowd_smoke (whole daemon —

@@ -161,8 +161,8 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
       algorithm_from_flag(get(flags, "algorithm", "sflow"));
   config.seed = static_cast<std::uint64_t>(
       get_long(flags, "request-seed", static_cast<long>(hosting.seed)));
-  config.presolve_threads =
-      static_cast<std::size_t>(get_long(flags, "presolve-threads", 2));
+  config.presolve_threads = static_cast<std::size_t>(get_long(
+      flags, "presolve-threads", static_cast<long>(config.presolve_threads)));
   config.max_queue_depth = static_cast<std::size_t>(get_long(
       flags, "max-queue-depth", static_cast<long>(config.max_queue_depth)));
   if (const std::string floor = get(flags, "floor", ""); !floor.empty()) {
@@ -292,7 +292,6 @@ int cmd_smoke(const std::map<std::string, std::string>& flags) {
 
   server::ServerConfig config;
   config.seed = util::derive_seed(seed, 1);
-  config.presolve_threads = 2;
 
   server::Server daemon(server::make_hosting_scenario(hosting), config);
 
