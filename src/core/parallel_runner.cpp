@@ -44,6 +44,10 @@ util::ThreadPool& ParallelSweepRunner::pool() const {
 
 TrialResult ParallelSweepRunner::run_trial(const TrialSpec& trial) {
   const Scenario scenario = make_scenario(trial.params, trial.scenario_seed);
+  // Build the shared link-state database up front, so no slot's compute
+  // time includes routing trees an earlier slot happened to build or leave
+  // unbuilt (Fig. 10(b) times the algorithm proper).
+  scenario.overlay_routing().precompute_all();
   TrialResult result;
   result.outcomes.reserve(trial.algorithms.size());
   for (std::size_t slot = 0; slot < trial.algorithms.size(); ++slot) {

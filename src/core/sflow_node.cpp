@@ -1,11 +1,13 @@
 #include "core/sflow_node.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
 #include "core/baseline.hpp"
 #include "graph/dag.hpp"
+#include "obs/metrics.hpp"
 
 namespace sflow::core {
 
@@ -43,6 +45,12 @@ LocalDecision sflow_local_compute(const OverlayGraph& overlay,
                                   const ServiceRequirement& original,
                                   const std::map<Sid, net::Nid>& pins,
                                   const SFlowNodeConfig& config) {
+  static obs::Counter& view_cuts = obs::Registry::global().counter(
+      "federation_local_view_cuts_total",
+      "local computations that cut a partial view and built its database");
+  if (global_routing.graph().node_count() != overlay.instance_count())
+    throw std::invalid_argument(
+        "sflow_local_compute: routing database does not match the overlay");
   LocalDecision decision;
   const Sid self_sid = overlay.instance(self).sid;
   const net::Nid self_nid = overlay.instance(self).nid;
@@ -56,26 +64,31 @@ LocalDecision sflow_local_compute(const OverlayGraph& overlay,
   const std::vector<Sid> downstream = rooted.downstream(self_sid);
   if (downstream.empty()) return decision;  // sink: nothing to extend
 
-  // Local view: either supplied (e.g. assembled by the link-state protocol)
-  // or cut from the overlay as the radius-hop neighbourhood.
-  OverlayGraph local;
+  // Local view: supplied (e.g. assembled by the link-state protocol), cut
+  // from the overlay as the radius-hop neighbourhood, or — when that
+  // neighbourhood is every instance — the overlay itself with the shared
+  // database.  The full cut would reproduce the overlay's instances and links
+  // in order, so its fresh database would answer bit-identically.
+  std::optional<OverlayGraph> cut;
   if (config.view_provider) {
-    local = config.view_provider(self);
-    if (!local.instance_at(self_nid))
+    cut = config.view_provider(self);
+    if (!cut->instance_at(self_nid))
       throw std::invalid_argument(
           "sflow_local_compute: provided view does not contain this node");
-  } else {
-    const int radius = config.knowledge_radius;
-    std::vector<OverlayIndex> view_nodes;
-    if (radius < 0) {
-      for (std::size_t v = 0; v < overlay.instance_count(); ++v)
-        view_nodes.push_back(static_cast<OverlayIndex>(v));
-    } else {
-      view_nodes = graph::neighborhood(overlay.graph(), self, radius);
-    }
-    local = overlay.induced(view_nodes);
+  } else if (config.knowledge_radius >= 0) {
+    const std::vector<OverlayIndex> view_nodes =
+        graph::neighborhood(overlay.graph(), self, config.knowledge_radius);
+    if (view_nodes.size() < overlay.instance_count())
+      cut = overlay.induced(view_nodes);
   }
-  const graph::AllPairsShortestWidest local_routing(local.graph());
+  std::optional<graph::AllPairsShortestWidest> cut_routing;
+  if (cut) {
+    view_cuts.increment();
+    cut_routing.emplace(cut->graph());
+  }
+  const OverlayGraph& local = cut ? *cut : overlay;
+  const graph::AllPairsShortestWidest& local_routing =
+      cut ? *cut_routing : global_routing;
 
   // Services visible in the local view (pins narrow visibility to the pinned
   // instance).

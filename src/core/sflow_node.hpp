@@ -8,6 +8,13 @@
 // baseline + reduction machinery used centrally, but restricted to the local
 // view, then decides which downstream instances to use and pins them.
 //
+// A cut view gets its own fresh shortest-widest database.  A node whose
+// neighbourhood holds every instance (or with knowledge_radius < 0) and no
+// view provider reads `overlay` and `global_routing` directly instead: the
+// full cut would reproduce the overlay's instances and links in order, so
+// the answers are bit-identical and the shared, warm database saves the
+// per-computation rebuild.
+//
 // Merge pinning (DESIGN.md): any unpinned service reachable from two or more
 // of this node's immediate downstream branches *must* be pinned here —
 // otherwise independent branches could select different instances of it and
@@ -68,8 +75,10 @@ struct LocalDecision {
 ///
 /// `self` is this node's instance; `original` the full requirement; `pins`
 /// the accumulated upstream pins (by NID).  `global_routing` is the overlay
-/// link-state database, used for realizing paths that leave the local view
-/// and as the pin fallback described above.
+/// link-state database: the local view's database under full coverage, and
+/// otherwise used for realizing paths that leave the local view and as the
+/// pin fallback described above.  Throws std::invalid_argument when
+/// `global_routing` does not describe `overlay` (node counts differ).
 LocalDecision sflow_local_compute(const overlay::OverlayGraph& overlay,
                                   const graph::AllPairsShortestWidest& global_routing,
                                   overlay::OverlayIndex self,

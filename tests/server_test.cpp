@@ -282,8 +282,13 @@ TEST(Server, DrainOnStopAnswersEverythingBitIdenticalToSequentialReplay) {
 // (TSan-load-bearing).  Pipelined rounds, each waited out before the next,
 // keep admissions landing between batches.  No admission builds a routing
 // database from scratch: the first one clones the warm database the admitter
-// shares with the hosting scenario.
-TEST(Server, PresolveThreadsRepairStaleRoutingTrees) {
+// shares with the hosting scenario.  Run under the optimal search and under
+// sFlow, the daemon default, whose nodes cover the whole hosted overlay and
+// so read the shared database as their local view from the pre-solve
+// threads too.
+class PresolveRepair : public ::testing::TestWithParam<core::Algorithm> {};
+
+TEST_P(PresolveRepair, PresolveThreadsRepairStaleRoutingTrees) {
   constexpr std::size_t kRequestsPerRound = 6;
   constexpr std::size_t kMaxRounds = 40;
   obs::Counter& repairs =
@@ -297,8 +302,7 @@ TEST(Server, PresolveThreadsRepairStaleRoutingTrees) {
   const std::uint64_t full_rebuilds_before = full_rebuilds.value();
 
   auto server = make_server(/*floor=*/1e-9, /*presolve_threads=*/4,
-                            /*max_queue_depth=*/4096,
-                            core::Algorithm::kGlobalOptimal);
+                            /*max_queue_depth=*/4096, GetParam());
   SocketPair pair;
   server->adopt_connection(pair.release(0));
 
@@ -335,6 +339,13 @@ TEST(Server, PresolveThreadsRepairStaleRoutingTrees) {
   EXPECT_EQ(full_rebuilds.value(), full_rebuilds_before);
   expect_replay_identical(*server);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, PresolveRepair,
+    ::testing::Values(core::Algorithm::kGlobalOptimal, core::Algorithm::kSflow),
+    [](const ::testing::TestParamInfo<core::Algorithm>& info) {
+      return info.param == core::Algorithm::kSflow ? "Sflow" : "GlobalOptimal";
+    });
 
 std::size_t open_fd_count() {
   std::size_t count = 0;

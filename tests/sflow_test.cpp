@@ -4,6 +4,8 @@
 #include "core/global_optimal.hpp"
 #include "core/sflow_federation.hpp"
 #include "core/sflow_node.hpp"
+#include "graph/dag.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
 namespace sflow::core {
@@ -11,6 +13,30 @@ namespace {
 
 using overlay::ServiceFlowGraph;
 using overlay::ServiceRequirement;
+
+/// Every node cuts its radius-hop neighbourhood out of `ov` and builds a
+/// fresh database over the cut, even when the neighbourhood is the whole
+/// overlay.
+SFlowNodeConfig cut_view_config(const overlay::OverlayGraph& ov, int radius) {
+  SFlowNodeConfig config;
+  config.knowledge_radius = radius;
+  config.view_provider = [&ov, radius](overlay::OverlayIndex self) {
+    return ov.induced(graph::neighborhood(ov.graph(), self, radius));
+  };
+  return config;
+}
+
+void expect_same_decision(const LocalDecision& a, const LocalDecision& b) {
+  EXPECT_EQ(a.new_pins, b.new_pins);
+  EXPECT_EQ(a.new_edges, b.new_edges);
+  EXPECT_EQ(a.forward, b.forward);
+  EXPECT_EQ(a.global_fallbacks, b.global_fallbacks);
+  EXPECT_EQ(a.infeasible, b.infeasible);
+}
+
+obs::Counter& view_cuts() {
+  return obs::Registry::global().counter("federation_local_view_cuts_total");
+}
 
 TEST(SflowLocalCompute, SinkHasNothingToDo) {
   const Scenario scenario = make_scenario(testing::small_workload(12), 1);
@@ -70,6 +96,83 @@ TEST(SflowLocalCompute, RespectsExistingPins) {
     if (sid == target_sid) EXPECT_EQ(instance, forced);
   // A pinned service is not re-pinned.
   EXPECT_FALSE(decision.new_pins.contains(target_sid));
+}
+
+// A node whose neighbourhood covers the overlay reads the shared database;
+// a node whose neighbourhood is partial cuts it.  Either way the decision
+// equals the one taken on the cut view with its own fresh database.  At
+// radius 2 these overlays are covered from every node; radius 1 leaves
+// some neighbourhoods partial.
+TEST(SflowLocalCompute, SharedDatabaseDecidesLikeTheCutView) {
+  std::size_t full = 0;
+  std::size_t partial = 0;
+  for (const int radius : {1, 2}) {
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+      const Scenario scenario = make_scenario(testing::small_workload(12), seed);
+      const overlay::OverlayGraph& ov = scenario.overlay();
+      SFlowNodeConfig shared_config;
+      shared_config.knowledge_radius = radius;
+      const SFlowNodeConfig cut_config = cut_view_config(ov, radius);
+      for (std::size_t v = 0; v < ov.instance_count(); ++v) {
+        const auto self = static_cast<overlay::OverlayIndex>(v);
+        if (!scenario.requirement.contains(ov.instance(self).sid)) continue;
+        const bool covers = graph::neighborhood(ov.graph(), self, radius).size() ==
+                            ov.instance_count();
+        ++(covers ? full : partial);
+        SCOPED_TRACE("radius " + std::to_string(radius) + ", seed " +
+                     std::to_string(seed) + ", node " + std::to_string(v));
+        expect_same_decision(
+            sflow_local_compute(ov, scenario.overlay_routing(), self,
+                                scenario.requirement, {}, shared_config),
+            sflow_local_compute(ov, scenario.overlay_routing(), self,
+                                scenario.requirement, {}, cut_config));
+      }
+    }
+  }
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(partial, 0u);
+}
+
+TEST(SflowFederation, FullCoverageReadsTheWarmDatabase) {
+  testing::DiamondFixture fx;  // every 2-hop neighbourhood is the overlay
+  net::UnderlyingNetwork underlay;
+  for (int i = 0; i < 6; ++i) underlay.add_node();
+  for (int i = 0; i < 5; ++i) underlay.add_link(i, i + 1, 100.0, 1.0);
+  const net::UnderlayRouting routing(underlay);
+  const graph::AllPairsShortestWidest overlay_routing(fx.overlay.graph());
+  overlay_routing.precompute_all();
+
+  obs::Counter& misses =
+      obs::Registry::global().counter("routing_cache_misses_total");
+  const std::uint64_t misses_before = misses.value();
+  const std::uint64_t cuts_before = view_cuts().value();
+  const SFlowFederationResult result = run_sflow_federation(
+      underlay, routing, fx.overlay, overlay_routing, fx.requirement);
+  ASSERT_TRUE(result.flow_graph);
+  EXPECT_EQ(result.node_computations, 4u);
+  EXPECT_EQ(misses.value(), misses_before);
+  EXPECT_EQ(view_cuts().value(), cuts_before);
+}
+
+TEST(SflowLocalCompute, PartialNeighbourhoodCutsAView) {
+  testing::DiamondFixture fx;
+  const graph::AllPairsShortestWidest routing(fx.overlay.graph());
+  SFlowNodeConfig narrow;
+  narrow.knowledge_radius = 1;  // node 0 sees 1..4 but not the sink 5
+  const std::uint64_t cuts_before = view_cuts().value();
+  const LocalDecision decision =
+      sflow_local_compute(fx.overlay, routing, 0, fx.requirement, {}, narrow);
+  EXPECT_EQ(view_cuts().value(), cuts_before + 1);
+  EXPECT_EQ(decision.forward.size(), 2u);
+  EXPECT_FALSE(decision.infeasible);
+}
+
+TEST(SflowLocalCompute, RejectsADatabaseOfAnotherOverlay) {
+  testing::DiamondFixture fx;
+  const overlay::OverlayGraph smaller = fx.overlay.induced({0, 1, 2, 5});
+  const graph::AllPairsShortestWidest routing(smaller.graph());
+  EXPECT_THROW(sflow_local_compute(fx.overlay, routing, 0, fx.requirement, {}),
+               std::invalid_argument);
 }
 
 TEST(SflowFederation, DiamondFederatesToOptimal) {

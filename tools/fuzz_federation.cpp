@@ -12,7 +12,11 @@
 //      (check::check_outcome_hierarchy — brute force == optimal, optimal ⪰
 //      everyone, sFlow ⪰ fixed greedy, baseline == brute force on chains);
 //   3. re-checks the routing sub-oracle on sampled sources
-//      (check::check_routing_equivalence — sweep kernel == legacy kernel).
+//      (check::check_routing_equivalence — sweep kernel == legacy kernel);
+//   4. re-runs the sFlow federation with every node cutting its own 2-hop
+//      view and building a fresh database, and requires the outcome to equal
+//      the run in which full-coverage nodes read the shared database
+//      (sflow-shared-view-divergence).
 //
 // On failure the scenario is greedily minimized (dropping service links while
 // the same violation code reproduces) and dumped in the [bundle]/[requirement]
@@ -31,9 +35,11 @@
 // algorithms, checking (a) the replay + conservation oracle
 // (check::validate_admission_sequence — on every link the granted rates sum
 // to at most its capacity) and (b) that no policy beats the joint K!-order
-// brute-force oracle.  Failures dump the multi-request scenario file
-// ([bundle] + repeated [requirement] sections); --replay detects such files
-// and re-runs the admission battery on them.
+// brute-force oracle.  On the final residual view of every sFlow
+// sequence, each request's federation also meets oracle 4.  Failures dump
+// the multi-request scenario file ([bundle] + repeated [requirement]
+// sections); --replay detects such files and re-runs the admission battery
+// on them.
 //
 // `--churn` switches to the incremental-routing battery: each seed builds a
 // fully precomputed shortest-widest database over the scenario overlay, then
@@ -66,6 +72,7 @@
 #include "core/admission.hpp"
 #include "core/federator.hpp"
 #include "core/scenario.hpp"
+#include "graph/dag.hpp"
 #include "graph/qos_routing.hpp"
 #include "overlay/overlay_graph.hpp"
 #include "overlay/requirement_generator.hpp"
@@ -103,6 +110,43 @@ struct BatteryReport {
   std::vector<check::Violation> violations;
 };
 
+/// The parent's-cut local view: every node cuts its radius-hop
+/// neighbourhood out of `overlay` and builds a fresh database over the cut,
+/// whether or not the neighbourhood covers the whole overlay.
+core::SFlowNodeConfig cut_view_config(const overlay::OverlayGraph& overlay) {
+  core::SFlowNodeConfig config;
+  config.view_provider = [&overlay, radius = config.knowledge_radius](
+                             overlay::OverlayIndex self) {
+    return overlay.induced(graph::neighborhood(overlay.graph(), self, radius));
+  };
+  return config;
+}
+
+/// Shared-view oracle: re-runs the sFlow federation on `view` with every
+/// node cutting its own view (cut_view_config) and requires the outcome to
+/// be deterministically equal to `shared`, the run in which full-coverage
+/// nodes read the shared database.  Appends a violation on divergence.
+void check_shared_view(const core::FederationView& view, std::uint64_t seed,
+                       const core::FederationOutcome& shared,
+                       const std::string& who,
+                       std::vector<check::Violation>& violations) {
+  util::Rng rng(seed);
+  const core::FederationOutcome cut = core::run_algorithm(
+      core::Algorithm::kSflow, view, rng, cut_view_config(*view.overlay));
+  if (cut.deterministically_equal(shared)) return;
+  std::ostringstream os;
+  const auto describe = [&os](const core::FederationOutcome& o) {
+    os << "(success=" << o.success << ", bw=" << o.bandwidth
+       << ", lat=" << o.latency << ", msgs=" << o.messages
+       << ", fallbacks=" << o.global_fallbacks << ")";
+  };
+  os << who << ": shared-database run ";
+  describe(shared);
+  os << " differs from the cut-view run ";
+  describe(cut);
+  violations.push_back({"sflow-shared-view-divergence", os.str()});
+}
+
 /// Restriction of a battery re-run to what a violation actually implicates:
 /// the algorithms to re-run (empty = all) and whether the routing-kernel
 /// equivalence sub-oracle must run.  Minimization re-runs are dominated by
@@ -132,7 +176,9 @@ BatteryReport run_battery(const core::Scenario& scenario, std::uint64_t case_see
   for (const core::Algorithm algorithm : battery_algorithms()) {
     const std::size_t algorithm_stream = stream++;  // stable across filters
     if (!filter.wants(algorithm)) continue;
-    util::Rng rng(util::derive_seed(case_seed, 0xA150 + algorithm_stream));
+    const std::uint64_t seed =
+        util::derive_seed(case_seed, 0xA150 + algorithm_stream);
+    util::Rng rng(seed);
     core::FederationOutcome outcome =
         core::run_algorithm(algorithm, scenario, rng);
     const check::ValidationReport validation = check::validate_flow_graph(
@@ -140,6 +186,9 @@ BatteryReport run_battery(const core::Scenario& scenario, std::uint64_t case_see
     for (const check::Violation& v : validation.violations)
       report.violations.push_back(
           {v.code, core::algorithm_name(algorithm) + ": " + v.detail});
+    if (algorithm == core::Algorithm::kSflow)
+      check_shared_view(core::FederationView::of(scenario), seed, outcome,
+                        core::algorithm_name(algorithm), report.violations);
     report.outcomes.emplace(algorithm, std::move(outcome));
   }
 
@@ -376,6 +425,22 @@ std::vector<check::Violation> run_contention_battery(
       absorb(check::validate_admission_sequence(scenario, requests, result,
                                                 config),
              who);
+      // The final residual view has lost its saturated links, so some
+      // neighbourhoods there are partial and some still cover the overlay:
+      // both local-view branches meet the shared-view oracle.
+      if (algorithm == core::Algorithm::kSflow) {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const core::FederationView view =
+              core::admission_view(scenario, result.view, requests[i]);
+          const std::uint64_t seed = util::derive_seed(case_seed, 0x5A4E + i);
+          util::Rng rng(seed);
+          check_shared_view(
+              view, seed,
+              core::run_algorithm(core::Algorithm::kSflow, view, rng),
+              who + " (final view, request " + std::to_string(i) + ")",
+              violations);
+        }
+      }
       // Exact, not tolerance-based: the policy's run is bit-identical to one
       // of the permutations the oracle enumerated.
       if (batch_value(result) > batch_value(oracle)) {
