@@ -9,8 +9,8 @@
 //
 // These are thin blocking wrappers over POSIX read/write with EINTR retry;
 // they work on any stream fd (unix sockets, socketpairs, pipes), which is
-// what lets the tests and --smoke drive a real server through socketpair()
-// without a filesystem socket.
+// what lets the tests drive a real server through socketpair() without a
+// filesystem socket.
 #pragma once
 
 #include <cstdint>

@@ -20,7 +20,6 @@
 #include "server/frame.hpp"
 #include "server/hosting.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sflow::server {
 
@@ -85,17 +84,12 @@ Server::Server(core::Scenario scenario, ServerConfig config)
       config_(std::move(config)),
       view_(scenario_.view),
       catalog_text_(catalog_listing(scenario_)) {
-  if (config_.presolve_threads > 1)
-    presolve_pool_ = std::make_unique<util::ThreadPool>(config_.presolve_threads);
   // Warm every source tree before the first request: the batch pre-solve
   // queries the database from multiple threads, and a warm cache turns those
   // first-touch Dijkstra builds into wait-free pointer loads.  The first
   // admission clones the warm database (view_ shares it with scenario_), so
-  // the warm-up carries over.  Reuses the pre-solve pool when it exists.
-  if (presolve_pool_)
-    view_.routing().precompute_all(*presolve_pool_);
-  else
-    view_.routing().precompute_all();
+  // the warm-up carries over.
+  view_.routing().precompute_all(presolve_pool_);
   admitter_ = std::thread(&Server::admitter_loop, this);
 }
 
@@ -338,9 +332,9 @@ void Server::serve_batch(std::vector<QueuedFrame> batch) {
   // and each request owns its derived rng.
   std::vector<std::optional<core::FederationOutcome>> presolved(slots.size());
   const std::uint64_t presolve_generation = view_.generation();
-  if (slots.size() - parse_failures > 1 && presolve_pool_) {
+  if (slots.size() - parse_failures > 1) {
     try {
-      presolve_pool_->parallel_for(0, slots.size(), [&](std::size_t i) {
+      presolve_pool_.parallel_for(0, slots.size(), [&](std::size_t i) {
         if (!slots[i].requirement) return;
         util::Rng rng(util::derive_seed(config_.seed, slots[i].sequence));
         presolved[i] = core::run_algorithm(

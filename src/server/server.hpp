@@ -3,9 +3,9 @@
 //
 // The paper's evaluation federates one request per process; a service
 // overlay in production faces a *stream*.  The Server accepts connections
-// (a unix listening socket, or fds adopted directly — tests and --smoke use
-// socketpairs), reads length-prefixed frames (server/frame.hpp), and serves
-// each [requirement]-grammar frame against one warm ResidualOverlay: the
+// (a unix listening socket, or fds adopted directly — tests use socketpairs),
+// reads length-prefixed frames (server/frame.hpp), and serves each
+// [requirement]-grammar frame against one warm ResidualOverlay: the
 // shortest-widest database is retargeted incrementally on every admit
 // (PR 8), so request N+1 pays only for what request N's admission touched.
 //
@@ -54,10 +54,7 @@
 #include "core/admission.hpp"
 #include "core/scenario.hpp"
 #include "obs/metrics.hpp"
-
-namespace sflow::util {
-class ThreadPool;
-}
+#include "util/thread_pool.hpp"
 
 namespace sflow::server {
 
@@ -66,10 +63,6 @@ struct ServerConfig {
   core::AdmissionConfig admission;
   /// Request-stream seed; request i draws derive_seed(seed, i).
   std::uint64_t seed = 0;
-  /// Threads for the read-only batch pre-solve (1 = commit-path only; the
-  /// commit itself is always serial — that is what the determinism pin
-  /// rests on).
-  std::size_t presolve_threads = 2;
   /// High-water mark for the requirement queue.  A reader that would push
   /// past it parks until the admitter drains, so an open-loop client that
   /// outpaces the solver stalls its own pipeline (per-connection
@@ -105,8 +98,8 @@ class Server {
   /// failure.
   void listen_unix(const std::string& path);
 
-  /// Adopts one end of an already-connected stream socket (tests, --smoke,
-  /// the request_storm bench).  The server owns `fd` from here on.
+  /// Adopts one end of an already-connected stream socket (tests drive the
+  /// server over socketpairs).  The server owns `fd` from here on.
   void adopt_connection(int fd);
 
   /// Stops accepting, EOFs every connection, drains the queue (answering
@@ -194,8 +187,11 @@ class Server {
   core::Scenario scenario_;
   ServerConfig config_;
   overlay::ResidualOverlay view_;
-  /// The batch pre-solve's workers; null at presolve_threads <= 1.
-  std::unique_ptr<util::ThreadPool> presolve_pool_;
+  /// Workers for the read-only batch pre-solve.  The commit is always
+  /// serial — that is what the determinism pin rests on — so the pool size
+  /// changes wall-clock, never results.
+  static constexpr std::size_t kPresolveThreads = 2;
+  util::ThreadPool presolve_pool_{kPresolveThreads};
   /// GET /catalog response, precomputed so readers never touch the catalog
   /// (the admitter may intern new names from client requirements).
   std::string catalog_text_;

@@ -8,11 +8,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,8 +91,7 @@ TEST(Framing, OversizedAnnouncedLengthThrows) {
 constexpr std::uint64_t kSeed = 11;
 
 std::unique_ptr<Server> make_server(
-    double floor = 1e-9, std::size_t presolve_threads = 2,
-    std::size_t max_queue_depth = 4096,
+    double floor = 1e-9, std::size_t max_queue_depth = 4096,
     core::Algorithm algorithm = core::AdmissionConfig{}.algorithm) {
   HostingConfig hosting;
   hosting.network_size = 24;
@@ -101,7 +102,6 @@ std::unique_ptr<Server> make_server(
   config.admission.algorithm = algorithm;
   config.admission.bandwidth_floor = floor;
   config.seed = util::derive_seed(kSeed, 1);
-  config.presolve_threads = presolve_threads;
   config.max_queue_depth = max_queue_depth;
   return std::make_unique<Server>(make_hosting_scenario(hosting), config);
 }
@@ -115,6 +115,16 @@ std::string request(int fd, const std::string& payload) {
 
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
+}
+
+bool spin_until(const std::function<bool()>& condition) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!condition()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 /// Determinism pin: the served stream, replayed sequentially, reproduces
@@ -301,8 +311,8 @@ TEST_P(PresolveRepair, PresolveThreadsRepairStaleRoutingTrees) {
   const std::uint64_t batches_before = batches.value();
   const std::uint64_t full_rebuilds_before = full_rebuilds.value();
 
-  auto server = make_server(/*floor=*/1e-9, /*presolve_threads=*/4,
-                            /*max_queue_depth=*/4096, GetParam());
+  auto server =
+      make_server(/*floor=*/1e-9, /*max_queue_depth=*/4096, GetParam());
   SocketPair pair;
   server->adopt_connection(pair.release(0));
 
@@ -340,6 +350,122 @@ TEST_P(PresolveRepair, PresolveThreadsRepairStaleRoutingTrees) {
   expect_replay_identical(*server);
 }
 
+// The daemon under a storm (TSan-load-bearing): four pipelining connections,
+// each with a sender that writes open-loop — never waiting on a response —
+// and a receiver that reads until the EOF stop() delivers.  Frames mix
+// chains of 2-4 hosted services, an unhosted-service frame every 7th, and
+// metrics/catalog queries, so reader threads, the admitter and its batched
+// pre-solves all race over one served stream.  Rounds repeat on the same
+// server until some batch committed a pre-solved outcome.
+TEST_P(PresolveRepair, PipelinedClientsStormBatchedPresolves) {
+  constexpr std::size_t kConnections = 4;
+  constexpr std::size_t kFramesPerRound = 30;
+  constexpr std::size_t kMaxRounds = 20;
+  obs::Counter& hits =
+      obs::Registry::global().counter("server_batch_presolve_hits_total");
+  const std::uint64_t hits_before = hits.value();
+
+  struct Client {
+    SocketPair pair;
+    std::vector<bool> malformed;  // per requirement frame, in send order
+    std::vector<std::string> responses;
+    std::atomic<std::size_t> received{0};
+  };
+  auto server =
+      make_server(/*floor=*/1e-9, /*max_queue_depth=*/4096, GetParam());
+  std::vector<Client> clients(kConnections);
+  std::vector<std::thread> receivers;
+  for (Client& client : clients) {
+    server->adopt_connection(client.pair.release(0));
+    receivers.emplace_back([&client] {
+      std::string response;
+      while (read_frame(client.pair.fds[1], response)) {
+        client.responses.push_back(response);
+        ++client.received;
+      }
+    });
+  }
+
+  std::size_t rounds = 0;
+  do {
+    std::vector<std::thread> senders;
+    for (std::size_t c = 0; c < kConnections; ++c)
+      senders.emplace_back([&clients, c, rounds] {
+        Client& client = clients[c];
+        for (std::size_t r = 0; r < kFramesPerRound; ++r) {
+          const std::size_t k = rounds * kFramesPerRound + r;
+          if (k % 7 == 3) {
+            write_frame(client.pair.fds[1], "S0 -> NoSuchService");
+            client.malformed.push_back(true);
+          } else if (k % 5 == 2) {
+            write_frame(client.pair.fds[1],
+                        k % 2 == 0 ? "GET /metrics" : "GET /catalog");
+          } else {
+            std::string requirement;
+            for (std::size_t h = 0; h < 1 + (c + k) % 3; ++h)
+              requirement += "S" + std::to_string((c + k + h) % 4) + " -> S" +
+                             std::to_string((c + k + h + 1) % 4) + "\n";
+            write_frame(client.pair.fds[1], requirement);
+            client.malformed.push_back(false);
+          }
+        }
+      });
+    for (std::thread& sender : senders) sender.join();
+    ++rounds;
+    if (!spin_until([&] {
+          std::size_t received = 0;
+          for (const Client& client : clients) received += client.received;
+          return received == kConnections * kFramesPerRound * rounds;
+        })) {
+      ADD_FAILURE() << "round " << rounds << " went unanswered";
+      break;  // stop() below still EOFs the receivers
+    }
+  } while (hits.value() == hits_before && rounds < kMaxRounds);
+  server->stop();
+  for (std::thread& receiver : receivers) receiver.join();
+
+  std::size_t requirement_frames = 0, errors = 0;
+  for (const Client& client : clients) {
+    ASSERT_EQ(client.responses.size(), kFramesPerRound * rounds);
+    requirement_frames += client.malformed.size();
+    std::size_t slot = 0;
+    std::optional<std::uint64_t> last_sequence;
+    for (const std::string& response : client.responses) {
+      if (!starts_with(response, "status:")) {
+        // Query answers come straight from the reader, so they may overtake
+        // queued requirement responses; they only need to be well formed.
+        EXPECT_TRUE(starts_with(response, "service S0 instances 3 @") ||
+                    response.find("server_requests_total") !=
+                        std::string::npos)
+            << response;
+        continue;
+      }
+      ASSERT_LT(slot, client.malformed.size()) << response;
+      if (client.malformed[slot++]) {
+        EXPECT_TRUE(starts_with(response, "status: error")) << response;
+        ++errors;
+        continue;
+      }
+      ASSERT_TRUE(starts_with(response, "status: admitted") ||
+                  starts_with(response, "status: rejected"))
+          << "out of send order: " << response;
+      const std::size_t at = response.find("\nsequence: ");
+      ASSERT_NE(at, std::string::npos) << response;
+      const std::uint64_t sequence = std::stoull(response.substr(at + 11));
+      if (last_sequence) {
+        EXPECT_GT(sequence, *last_sequence);
+      }
+      last_sequence = sequence;
+    }
+    EXPECT_EQ(slot, client.malformed.size());
+  }
+  EXPECT_GT(errors, 0u);
+  EXPECT_EQ(server->history().size() + errors, requirement_frames);
+  EXPECT_GT(hits.value(), hits_before) << "no pre-solve committed in "
+                                       << rounds << " rounds";
+  expect_replay_identical(*server);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, PresolveRepair,
     ::testing::Values(core::Algorithm::kGlobalOptimal, core::Algorithm::kSflow),
@@ -353,16 +479,6 @@ std::size_t open_fd_count() {
        std::filesystem::directory_iterator("/proc/self/fd"))
     ++count;
   return count;
-}
-
-bool spin_until(const std::function<bool()>& condition) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!condition()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
 }
 
 // Regression: a long-running daemon must reclaim per-connection resources
@@ -439,8 +555,7 @@ TEST(Server, MalformedFramesAnswerInPerConnectionSendOrder) {
 // of growing the queue without limit — and no request is lost to the bound.
 TEST(Server, BoundedQueueBackpressuresWithoutLosingRequests) {
   constexpr std::size_t kRequests = 12;
-  auto server = make_server(/*floor=*/1e-9, /*presolve_threads=*/2,
-                            /*max_queue_depth=*/1);
+  auto server = make_server(/*floor=*/1e-9, /*max_queue_depth=*/1);
 
   SocketPair pair;
   server->adopt_connection(pair.release(0));

@@ -42,11 +42,15 @@
 # covers the whole overlay in two hops, so the pre-solve threads read the
 # shared database as the nodes' local view instead of cutting private copies.
 # The federation server rides along, and TSan is load-bearing for it:
-# thread_pool_test (exception capture across workers), server_test (reader
-# threads racing the admitter, drain-on-stop), sflowd_smoke (whole daemon —
-# accept loop, concurrent clients, signal-style shutdown) and
-# request_storm_smoke (open-loop storm with batched pre-solves) all cross
-# the queue/view/history handoffs that only a sanitizer can audit.
+# thread_pool_test (exception capture across workers) and server_test
+# (reader threads racing the admitter, drain-on-stop, the accept loop over a
+# real unix socket) cross the queue/view/history handoffs that only a
+# sanitizer can audit.  server_test's PipelinedClientsStormBatchedPresolves,
+# under both algorithms, is the storm: four connections whose senders write
+# open-loop while their receivers read, with error frames and queries mixed
+# in, until batched pre-solves on the server's pool have been committed.
+# sflowd_cli runs the daemon binary itself: usage errors, then a served
+# round that drains on SIGTERM.
 #
 #   $ tools/run_sanitized_tests.sh            # thread sanitizer (default)
 #   $ tools/run_sanitized_tests.sh address    # address sanitizer
