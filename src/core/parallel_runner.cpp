@@ -37,8 +37,11 @@ ParallelSweepRunner::ParallelSweepRunner(std::size_t threads)
 ParallelSweepRunner::~ParallelSweepRunner() = default;
 
 util::ThreadPool& ParallelSweepRunner::pool() const {
-  std::call_once(pool_once_,
-                 [this] { pool_ = std::make_unique<util::ThreadPool>(threads_); });
+  // parallel_for runs iterations on the calling thread too, so threads_ - 1
+  // workers make threads_ threads in all.
+  std::call_once(pool_once_, [this] {
+    pool_ = std::make_unique<util::ThreadPool>(threads_ - 1);
+  });
   return *pool_;
 }
 

@@ -1,5 +1,6 @@
 #include "server/frame.hpp"
 
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -34,15 +35,25 @@ bool read_exact(int fd, char* buffer, std::size_t n) {
   return true;
 }
 
-void write_all(int fd, const char* buffer, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t put = ::write(fd, buffer + done, n - done);
+/// Writes every byte of `parts`, continuing after short writes.  `parts` is
+/// consumed: entries are advanced past whatever was already sent.
+void writev_all(int fd, iovec* parts, int count) {
+  while (count > 0) {
+    const ssize_t put = ::writev(fd, parts, count);
     if (put < 0) {
       if (errno == EINTR) continue;
       throw_errno("write_frame");
     }
-    done += static_cast<std::size_t>(put);
+    auto left = static_cast<std::size_t>(put);
+    while (count > 0 && left >= parts->iov_len) {
+      left -= parts->iov_len;
+      ++parts;
+      --count;
+    }
+    if (count > 0) {
+      parts->iov_base = static_cast<char*>(parts->iov_base) + left;
+      parts->iov_len -= left;
+    }
   }
 }
 
@@ -76,8 +87,13 @@ void write_frame(int fd, std::string_view payload) {
       static_cast<unsigned char>(length >> 8),
       static_cast<unsigned char>(length),
   };
-  write_all(fd, reinterpret_cast<const char*>(header), sizeof header);
-  write_all(fd, payload.data(), payload.size());
+  // Header and payload leave in one writev: one syscall per frame, and the
+  // peer never wakes to a header alone.
+  iovec parts[2] = {
+      {const_cast<unsigned char*>(header), sizeof header},
+      {const_cast<char*>(payload.data()), payload.size()},
+  };
+  writev_all(fd, parts, payload.empty() ? 1 : 2);
 }
 
 }  // namespace sflow::server

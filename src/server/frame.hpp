@@ -7,7 +7,8 @@
 // parser trivial (no in-band delimiters to escape) and lets one connection
 // carry any number of requests.
 //
-// These are thin blocking wrappers over POSIX read/write with EINTR retry;
+// These are thin blocking wrappers over POSIX read/writev with EINTR retry
+// (write_frame sends header and payload in one writev per frame);
 // they work on any stream fd (unix sockets, socketpairs, pipes), which is
 // what lets the tests drive a real server through socketpair() without a
 // filesystem socket.

@@ -35,6 +35,26 @@ bool is_query(const std::string& payload, const char* verb) {
   return payload.rfind(verb, 0) == 0;
 }
 
+/// Parses a requirement frame, rejects services the overlay does not host,
+/// and pins the source to its first instance unless the frame pinned it
+/// (the sflowctl federate rule: the consumer contacts one concrete
+/// instance).  Throws std::invalid_argument with the client-facing reason.
+overlay::ServiceRequirement parse_and_pin(const std::string& payload,
+                                          overlay::ServiceCatalog& catalog,
+                                          const overlay::OverlayGraph& hosting) {
+  overlay::ServiceRequirement requirement =
+      overlay::parse_requirement(payload, catalog);
+  for (const overlay::Sid sid : requirement.services())
+    if (hosting.instances_of(sid).empty())
+      throw std::invalid_argument("unknown service '" + catalog.name(sid) +
+                                  "' (see GET /catalog)");
+  const overlay::Sid source = requirement.source();
+  if (!requirement.pinned(source))
+    requirement.pin(source,
+                    hosting.instance(hosting.instances_of(source).front()).nid);
+  return requirement;
+}
+
 }  // namespace
 
 Server::Connection::~Connection() {
@@ -77,7 +97,7 @@ Server::Metrics::Metrics()
           "high-water mark of queued requirement frames")),
       latency(obs::Registry::global().histogram(
           "server_request_latency_ms", obs::default_duration_buckets_ms(),
-          "enqueue-to-response latency per requirement frame")) {}
+          "frame-read-to-response latency per requirement frame")) {}
 
 Server::Server(core::Scenario scenario, ServerConfig config)
     : scenario_(std::move(scenario)),
@@ -192,6 +212,10 @@ std::size_t Server::active_connections() const {
 
 void Server::reader_loop(std::shared_ptr<Connection> conn,
                          std::uint64_t reader_id) {
+  // This reader's own copy of the hosted catalog: the parser interns every
+  // name it meets, and a name no service hosts must not outlive its frame.
+  // The shared scenario_.catalog never changes after construction.
+  overlay::ServiceCatalog catalog = scenario_.catalog;
   std::string payload;
   try {
     while (read_frame(conn->fd, payload)) {
@@ -204,6 +228,16 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
         continue;
       }
       metrics_.requests.increment();
+      QueuedFrame frame{conn, std::nullopt, std::string(),
+                        std::chrono::steady_clock::now(), 0};
+      try {
+        frame.requirement =
+            parse_and_pin(payload, catalog, scenario_.overlay());
+      } catch (const std::exception& e) {
+        frame.error = std::string("status: error\nreason: ") + e.what() + "\n";
+      }
+      if (catalog.size() != scenario_.catalog.size())
+        catalog = scenario_.catalog;
       {
         std::unique_lock lock(queue_mutex_);
         if (config_.max_queue_depth > 0 &&
@@ -219,12 +253,10 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
                    stopping_.load();
           });
         }
-        queue_.push_back({conn, std::move(payload),
-                          std::chrono::steady_clock::now()});
+        queue_.push_back(std::move(frame));
         metrics_.queue_peak.update_max(static_cast<double>(queue_.size()));
       }
       queue_ready_.notify_one();
-      payload.clear();
     }
   } catch (const std::exception&) {
     // A torn frame or I/O error drops the connection; requests already
@@ -283,63 +315,35 @@ void Server::admitter_loop() {
 void Server::serve_batch(std::vector<QueuedFrame> batch) {
   metrics_.batches.increment();
 
-  // Parse serially (the admitter is the catalog's only writer), assigning
-  // arrival-order sequence numbers to the frames that parse.  Malformed
-  // frames keep their batch slot so the commit loop answers them in arrival
-  // order — docs/formats.md promises per-connection send-order responses,
-  // and error frames carry no sequence a pipelining client could correlate
-  // by — but draw no randomness, so they cannot shift any later request's
-  // derived seed.
-  struct Slot {
-    QueuedFrame frame;
-    std::optional<overlay::ServiceRequirement> requirement;
-    std::string error;  // the response payload when parsing failed
-    std::uint64_t sequence = 0;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(batch.size());
-  const overlay::OverlayGraph& hosting = scenario_.overlay();
-  std::size_t parse_failures = 0;
-  for (QueuedFrame& frame : batch) {
-    Slot slot{std::move(frame), std::nullopt, std::string(), 0};
-    try {
-      overlay::ServiceRequirement requirement =
-          overlay::parse_requirement(slot.frame.payload, scenario_.catalog);
-      for (const overlay::Sid sid : requirement.services())
-        if (hosting.instances_of(sid).empty())
-          throw std::invalid_argument("unknown service '" +
-                                      scenario_.catalog.name(sid) +
-                                      "' (see GET /catalog)");
-      // Honour an existing pin of the source; otherwise pin its first
-      // instance (the sflowctl federate rule — the consumer contacts one
-      // concrete instance).
-      const overlay::Sid source = requirement.source();
-      if (!requirement.pinned(source))
-        requirement.pin(
-            source, hosting.instance(hosting.instances_of(source).front()).nid);
-      slot.sequence = next_sequence_++;
-      slot.requirement = std::move(requirement);
-    } catch (const std::exception& e) {
-      ++parse_failures;
-      slot.error = std::string("status: error\nreason: ") + e.what() + "\n";
+  // Readers parsed and pinned every frame; sequence numbers follow queue
+  // (arrival) order over the frames that parsed.  Rejected frames keep their
+  // batch slot so the commit loop answers them in arrival order —
+  // docs/formats.md promises per-connection send-order responses, and error
+  // frames carry no sequence a pipelining client could correlate by — but
+  // draw no randomness, so they cannot shift any later request's derived
+  // seed.
+  std::size_t parsed = 0;
+  for (QueuedFrame& frame : batch)
+    if (frame.requirement) {
+      frame.sequence = next_sequence_++;
+      ++parsed;
     }
-    slots.push_back(std::move(slot));
-  }
 
   // Read-only pre-solve of the whole batch against the current residual
-  // state.  Safe in parallel: solvers only run const queries against the
-  // shared routing database (thread-safe lazy trees) and the residual graph,
-  // and each request owns its derived rng.
-  std::vector<std::optional<core::FederationOutcome>> presolved(slots.size());
+  // state, the admitter solving its share alongside the pool's workers.
+  // Safe in parallel: solvers only run const queries against the shared
+  // routing database (thread-safe lazy trees) and the residual graph, and
+  // each request owns its derived rng.
+  std::vector<std::optional<core::FederationOutcome>> presolved(batch.size());
   const std::uint64_t presolve_generation = view_.generation();
-  if (slots.size() - parse_failures > 1) {
+  if (parsed > 1) {
     try {
-      presolve_pool_.parallel_for(0, slots.size(), [&](std::size_t i) {
-        if (!slots[i].requirement) return;
-        util::Rng rng(util::derive_seed(config_.seed, slots[i].sequence));
+      presolve_pool_.parallel_for(0, batch.size(), [&](std::size_t i) {
+        if (!batch[i].requirement) return;
+        util::Rng rng(util::derive_seed(config_.seed, batch[i].sequence));
         presolved[i] = core::run_algorithm(
             config_.admission.algorithm,
-            core::admission_view(scenario_, view_, *slots[i].requirement), rng,
+            core::admission_view(scenario_, view_, *batch[i].requirement), rng,
             config_.admission.sflow);
       });
     } catch (...) {
@@ -356,12 +360,13 @@ void Server::serve_batch(std::vector<QueuedFrame> batch) {
   // seeds — bit-identical to the sequential run by construction, so the
   // pre-solve can only save work (all-reject batches commit entirely from
   // pre-solved outcomes), never change results.
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    Slot& slot = slots[i];
+  const overlay::OverlayGraph& hosting = scenario_.overlay();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    QueuedFrame& slot = batch[i];
     if (!slot.requirement.has_value()) {
       metrics_.errors.increment();
-      respond(*slot.frame.conn, slot.error);
-      metrics_.latency.observe(ms_since(slot.frame.enqueued));
+      respond(*slot.conn, slot.error);
+      metrics_.latency.observe(ms_since(slot.enqueued));
       continue;
     }
     try {
@@ -401,8 +406,8 @@ void Server::serve_batch(std::vector<QueuedFrame> batch) {
                     : "no feasible service flow graph")
             << '\n';
       }
-      respond(*slot.frame.conn, out.str());
-      metrics_.latency.observe(ms_since(slot.frame.enqueued));
+      respond(*slot.conn, out.str());
+      metrics_.latency.observe(ms_since(slot.enqueued));
       history_.push_back({std::move(*slot.requirement), std::move(decision)});
     } catch (const std::exception& e) {
       // A commit-path failure (a solver invariant, allocation pressure while
@@ -411,10 +416,10 @@ void Server::serve_batch(std::vector<QueuedFrame> batch) {
       // what a sequential replay hitting the same deterministic throw would
       // observe.
       metrics_.internal_errors.increment();
-      respond(*slot.frame.conn,
+      respond(*slot.conn,
               std::string("status: error\nreason: internal: ") + e.what() +
                   "\n");
-      metrics_.latency.observe(ms_since(slot.frame.enqueued));
+      metrics_.latency.observe(ms_since(slot.enqueued));
     }
   }
 }

@@ -15,16 +15,22 @@
 //                      accepted connection.
 //   reader threads     one per connection; read frames.  Query frames
 //                      (`GET /metrics`, `GET /catalog`) are answered in
-//                      place from immutable or atomic state; requirement
-//                      frames are enqueued FIFO.
-//   admitter thread    the sole owner of the residual view and the service
-//                      catalog.  Drains the queue in batches: parses each
-//                      frame (catalog interning is single-threaded by
-//                      construction), assigns arrival-order sequence
+//                      place from immutable or atomic state.  A requirement
+//                      frame is parsed against the reader's own copy of the
+//                      hosted catalog, checked for unhosted services and
+//                      source-pinned, then enqueued FIFO — as a requirement,
+//                      or as its finished error response.  A name the
+//                      overlay does not host is dropped with its frame: the
+//                      reader restores its catalog copy, and the shared
+//                      scenario catalog never changes after construction.
+//   admitter thread    the sole owner of the residual view.  Drains the
+//                      queue in batches: assigns arrival-order sequence
 //                      numbers, pre-solves the batch read-only in parallel
-//                      (a util::ThreadPool over the shared routing database,
+//                      (the admitter solves its share alongside a 2-worker
+//                      util::ThreadPool, over the shared routing database,
 //                      which is safe for concurrent const queries), then
-//                      commits in sequence order.
+//                      commits in sequence order and writes each response
+//                      as one frame.
 //
 // Determinism contract: request i draws util::derive_seed(seed, i) and is
 // committed through the same core::admit_one the batch solver iterates, so
@@ -47,6 +53,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,8 +73,8 @@ struct ServerConfig {
   /// High-water mark for the requirement queue.  A reader that would push
   /// past it parks until the admitter drains, so an open-loop client that
   /// outpaces the solver stalls its own pipeline (per-connection
-  /// backpressure) instead of growing the queue — and its copied frame
-  /// payloads — without bound.  0 = unbounded.
+  /// backpressure) instead of growing the queue — and its parsed
+  /// requirements — without bound.  0 = unbounded.
   std::size_t max_queue_depth = 4096;
   /// Only for the frozen sflowbench replica; routing repair is always lazy.
   graph::AllPairsShortestWidest::RepairMode routing_repair =
@@ -141,10 +148,16 @@ class Server {
     std::mutex write_mutex;
   };
 
+  /// One requirement frame as its reader left it: parsed and pinned, or
+  /// rejected with its finished error response.
   struct QueuedFrame {
     std::shared_ptr<Connection> conn;
-    std::string payload;
+    std::optional<overlay::ServiceRequirement> requirement;
+    std::string error;  // the response payload when the frame was rejected
+    /// When the frame had been read (before the parse): the start of
+    /// server_request_latency_ms.
     std::chrono::steady_clock::time_point enqueued;
+    std::uint64_t sequence = 0;  // assigned by the admitter
   };
 
   /// Lazily registered process-wide metrics (docs/observability.md).
@@ -187,13 +200,15 @@ class Server {
   core::Scenario scenario_;
   ServerConfig config_;
   overlay::ResidualOverlay view_;
-  /// Workers for the read-only batch pre-solve.  The commit is always
-  /// serial — that is what the determinism pin rests on — so the pool size
-  /// changes wall-clock, never results.
+  /// Workers for the read-only batch pre-solve; the admitter solves
+  /// iterations alongside them (util::ThreadPool::parallel_for).  The commit
+  /// is always serial — that is what the determinism pin rests on — so the
+  /// pool size changes wall-clock, never results.
   static constexpr std::size_t kPresolveThreads = 2;
   util::ThreadPool presolve_pool_{kPresolveThreads};
-  /// GET /catalog response, precomputed so readers never touch the catalog
-  /// (the admitter may intern new names from client requirements).
+  /// GET /catalog response, precomputed once.  Nothing interns into
+  /// scenario_.catalog after construction (each reader parses against its
+  /// own copy), so the listing never goes stale.
   std::string catalog_text_;
   Metrics metrics_;
 

@@ -77,45 +77,58 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
 
+  // Completion is counted per iteration, not per helper task: the caller
+  // returns once every index is finished or abandoned, so it never waits on
+  // a helper that has not started.  A helper that starts after the last
+  // index was claimed reads `next >= end` and leaves without touching
+  // `body` (which may be gone by then); `shared` outlives it.
   struct Shared {
     std::atomic<std::size_t> next;
-    std::atomic<std::size_t> remaining;
+    std::atomic<std::size_t> completed{0};
+    std::size_t end;
+    std::size_t total;
+    const std::function<void(std::size_t)>* body;
     std::mutex mutex;
     std::condition_variable done;
     std::exception_ptr first_error;
-    std::size_t end;
   };
   auto shared = std::make_shared<Shared>();
   shared->next = begin;
   shared->end = end;
+  shared->total = end - begin;
+  shared->body = &body;
 
-  // One task per worker; each loops over a shared atomic index so uneven
-  // iteration costs balance naturally.
-  const std::size_t tasks = std::min(size(), end - begin);
-  shared->remaining = tasks;
-  for (std::size_t t = 0; t < tasks; ++t) {
-    submit([shared, &body] {
-      for (;;) {
-        const std::size_t i = shared->next.fetch_add(1);
-        if (i >= shared->end) break;
-        try {
-          body(i);
-        } catch (...) {
-          std::unique_lock lock(shared->mutex);
-          if (!shared->first_error)
-            shared->first_error = std::current_exception();
-          // Abandon the remaining iterations: errors in trial generation are
-          // programming mistakes, not data, so fail fast.
-          shared->next.store(shared->end);
-        }
+  const auto drain = [](Shared& s) {
+    for (;;) {
+      const std::size_t i = s.next.fetch_add(1);
+      if (i >= s.end) return;
+      std::size_t finished = 1;
+      try {
+        (*s.body)(i);
+      } catch (...) {
+        std::unique_lock lock(s.mutex);
+        if (!s.first_error) s.first_error = std::current_exception();
+        // Fail fast: abandon every index nobody has claimed yet, and count
+        // them as finished so the caller is released.
+        const std::size_t unclaimed = s.next.exchange(s.end);
+        if (unclaimed < s.end) finished += s.end - unclaimed;
       }
-      std::unique_lock lock(shared->mutex);
-      if (--shared->remaining == 0) shared->done.notify_all();
-    });
-  }
+      if (s.completed.fetch_add(finished) + finished == s.total) {
+        std::unique_lock lock(s.mutex);
+        s.done.notify_all();
+      }
+    }
+  };
+
+  // The caller takes a share, so at most total - 1 helpers can be useful.
+  const std::size_t helpers = std::min(size(), shared->total - 1);
+  for (std::size_t t = 0; t < helpers; ++t)
+    submit([shared, drain] { drain(*shared); });
+  drain(*shared);
 
   std::unique_lock lock(shared->mutex);
-  shared->done.wait(lock, [&] { return shared->remaining == 0; });
+  shared->done.wait(lock,
+                    [&] { return shared->completed.load() == shared->total; });
   if (shared->first_error) std::rethrow_exception(shared->first_error);
 }
 

@@ -48,13 +48,17 @@ class ThreadPool {
   /// a pending undelivered exception is dropped.
   void wait_idle();
 
-  /// Runs body(i) for every i in [begin, end) across the pool and blocks
-  /// until all iterations finish.  Iterations are handed out one index at a
-  /// time (trial-sized tasks dwarf the locking cost).  If any iteration
-  /// throws, the first exception (in completion order) is rethrown here
-  /// after all iterations finish or are abandoned.  Must be called from
-  /// outside the pool's own workers (a worker calling it would wait on
-  /// tasks that need its slot).
+  /// Runs body(i) for every i in [begin, end) and blocks until all
+  /// iterations finish.  The calling thread claims iterations too, alongside
+  /// up to size() workers, one index at a time from a shared atomic counter,
+  /// so up to size() + 1 threads run `body`.  The call returns as soon as
+  /// every iteration has finished: it never waits for a worker that has not
+  /// started yet (busy workers cannot stall it; the caller then runs every
+  /// iteration itself), and a worker that starts after the last index was
+  /// claimed returns without calling `body`.  If an iteration throws, the
+  /// iterations nobody has claimed yet are abandoned, and the first
+  /// exception (in completion order) is rethrown here once the iterations
+  /// already running have finished.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 

@@ -4,12 +4,14 @@
 // the readers consumed, and the concurrently served stream is bit-identical
 // to a sequential run_admission_sequence replay of history().
 #include <gtest/gtest.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -57,6 +59,51 @@ TEST(Framing, RoundTripsPayloads) {
     ASSERT_TRUE(read_frame(pair.fds[1], read_back));
     EXPECT_EQ(read_back, payload);
   }
+}
+
+TEST(Framing, LargeFrameContinuesAfterShortWrites) {
+  // 4 MiB is far past the socket buffer, so writev blocks while a slow
+  // reader drains it.  A signal that interrupts a blocked writev after some
+  // bytes went out makes it return that short count (no SA_RESTART), and
+  // the frame arrives intact only if write_frame resumes at the right byte.
+  struct sigaction interrupt {}, previous{};
+  interrupt.sa_handler = [](int) {};
+  sigemptyset(&interrupt.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &interrupt, &previous), 0);
+
+  SocketPair pair;
+  std::string payload(4u << 20, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<char>((i * 131) % 251);
+
+  std::string received;
+  std::thread reader([&] {
+    char buffer[32 * 1024];
+    while (received.size() < payload.size() + 4) {
+      const ssize_t got = ::read(pair.fds[1], buffer, sizeof buffer);
+      if (got <= 0) break;
+      received.append(buffer, static_cast<std::size_t>(got));
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
+  std::atomic<bool> written{false};
+  const pthread_t writer = ::pthread_self();
+  std::thread interrupter([&] {
+    while (!written.load()) {
+      ::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  EXPECT_NO_THROW(write_frame(pair.fds[0], payload));
+  written.store(true);
+  interrupter.join();
+  reader.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+
+  ASSERT_EQ(received.size(), payload.size() + 4);
+  EXPECT_EQ(received.substr(0, 4), std::string("\x00\x40\x00\x00", 4));
+  EXPECT_TRUE(received.compare(4, std::string::npos, payload) == 0)
+      << "payload corrupted in transit";
 }
 
 TEST(Framing, CleanEofAtFrameBoundaryReturnsFalse) {
@@ -222,6 +269,32 @@ TEST(Server, UnknownServiceIsAnErrorAndDrawsNoSequence) {
   EXPECT_NE(ok.find("sequence: 0"), std::string::npos) << ok;
 
   server->stop();
+  EXPECT_EQ(server->history().size(), 1u);
+}
+
+TEST(Server, HostileServiceNamesDoNotGrowTheCatalog) {
+  // Every distinct unhosted name a client sends is parsed and rejected, and
+  // leaves nothing behind: a long-running daemon's catalog must not grow by
+  // one entry per bogus name it ever saw.
+  auto server = make_server();
+  const std::size_t hosted = server->scenario().catalog.size();
+  SocketPair pair;
+  server->adopt_connection(pair.release(0));
+
+  for (int i = 0; i < 1000; ++i) {
+    const std::string name = "Bogus" + std::to_string(i);
+    ASSERT_EQ(request(pair.fds[1], "S0 -> " + name + "\n"),
+              "status: error\nreason: unknown service '" + name +
+                  "' (see GET /catalog)\n")
+        << "frame " << i;
+  }
+  EXPECT_EQ(server->scenario().catalog.size(), hosted);
+
+  const std::string ok = request(pair.fds[1], "S0 -> S1\n");
+  EXPECT_NE(ok.find("sequence: 0"), std::string::npos) << ok;
+
+  server->stop();
+  EXPECT_EQ(server->scenario().catalog.size(), hosted);
   EXPECT_EQ(server->history().size(), 1u);
 }
 

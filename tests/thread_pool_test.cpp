@@ -1,14 +1,20 @@
 // Lifecycle regression tests for the background-thread utilities the server
 // depends on: exception containment in util::ThreadPool (a throwing task must
 // surface at wait_idle(), never unwind a worker's top frame and terminate the
-// process) and bounded-shutdown-latency in util::PeriodicTask (stop() wakes
+// process), parallel_for's caller-drains contract (it never waits on a
+// worker that has not started) and bounded-shutdown-latency in util::PeriodicTask (stop() wakes
 // the sleeper immediately instead of waiting out the interval; the destructor
 // joins, so owning scopes may throw).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <latch>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/periodic.hpp"
@@ -81,6 +87,104 @@ TEST(ThreadPoolErrors, ParallelForStillPropagatesItsOwnExceptions) {
                                  }),
                std::runtime_error);
   EXPECT_NO_THROW(pool.wait_idle());  // and it is not double-reported
+}
+
+/// Parks every worker of a pool on a latch until release() — or until a
+/// 2 s watchdog gives up and releases them, so a caller that waits on the
+/// parked workers fails the test instead of hanging it.
+class ParkedWorkers {
+ public:
+  explicit ParkedWorkers(ThreadPool& pool) : parked_(pool.size()) {
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      pool.submit([this] {
+        parked_.count_down();
+        gate_.wait();
+      });
+    parked_.wait();
+    watchdog_ = std::thread([this] {
+      std::unique_lock lock(mutex_);
+      if (!released_.wait_for(lock, std::chrono::seconds(2),
+                              [this] { return done_; }))
+        timed_out_ = true;
+      gate_.count_down();
+    });
+  }
+  ~ParkedWorkers() { release(); }
+
+  /// Opens the latch; true when the watchdog had to open it first.
+  bool release() {
+    {
+      std::lock_guard lock(mutex_);
+      done_ = true;
+    }
+    released_.notify_all();
+    if (watchdog_.joinable()) watchdog_.join();
+    return timed_out_;
+  }
+
+ private:
+  std::latch parked_;
+  std::latch gate_{1};
+  std::mutex mutex_;
+  std::condition_variable released_;
+  bool done_ = false;
+  bool timed_out_ = false;
+  std::thread watchdog_;
+};
+
+TEST(ParallelFor, CallerRunsEveryIterationWhileWorkersAreBusy) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  std::atomic<int> off_caller{0};
+  ParkedWorkers parked(pool);
+  {
+    const std::thread::id caller = std::this_thread::get_id();
+    const std::function<void(std::size_t)> body = [&](std::size_t) {
+      ++ran;
+      if (std::this_thread::get_id() != caller) ++off_caller;
+    };
+    pool.parallel_for(0, 16, body);
+    EXPECT_EQ(ran.load(), 16);
+    EXPECT_EQ(off_caller.load(), 0);
+  }
+  EXPECT_FALSE(parked.release()) << "parallel_for waited for parked workers";
+  // The helper tasks queued behind the parked ones start only now, after
+  // every index was claimed and `body` went out of scope: they must leave
+  // without running an iteration.
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(ParallelFor, ThrowingIterationReleasesTheCallerWithTheFirstError) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  ParkedWorkers parked(pool);  // every iteration runs on the caller, in order
+  try {
+    pool.parallel_for(0, 16, [&](std::size_t i) {
+      ++ran;
+      if (i == 5 || i == 9)
+        throw std::runtime_error("iteration " + std::to_string(i));
+    });
+    FAIL() << "parallel_for did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "iteration 5");
+  }
+  EXPECT_EQ(ran.load(), 6);  // fail fast: nothing after the throw starts
+  EXPECT_FALSE(parked.release()) << "parallel_for waited for parked workers";
+}
+
+TEST(ParallelFor, EveryIterationThrowingStillReturnsAndPoolStaysUsable) {
+  ThreadPool pool(2);
+  for (int round = 0; round < 50; ++round)
+    EXPECT_THROW(pool.parallel_for(0, 100,
+                                   [](std::size_t) {
+                                     throw std::runtime_error("always");
+                                   }),
+                 std::runtime_error);
+  std::atomic<int> ran{0};
+  pool.parallel_for(0, 64, [&ran](std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 64);
+  EXPECT_NO_THROW(pool.wait_idle());
 }
 
 TEST(PeriodicTask, TicksRepeatedly) {

@@ -42,10 +42,15 @@
 # covers the whole overlay in two hops, so the pre-solve threads read the
 # shared database as the nodes' local view instead of cutting private copies.
 # The federation server rides along, and TSan is load-bearing for it:
-# thread_pool_test (exception capture across workers) and server_test
-# (reader threads racing the admitter, drain-on-stop, the accept loop over a
-# real unix socket) cross the queue/view/history handoffs that only a
-# sanitizer can audit.  server_test's PipelinedClientsStormBatchedPresolves,
+# thread_pool_test (exception capture across workers; parallel_for's caller
+# draining iterations beside its workers, with the workers parked and with
+# throwing iterations) and server_test (reader threads racing the admitter,
+# drain-on-stop, the accept loop over a real unix socket) cross the
+# queue/view/history handoffs that only a sanitizer can audit.  Readers parse
+# and source-pin requirements concurrently with the admitter's commits: each
+# parses against its own catalog copy, and both sides read the hosting
+# overlay and the shared catalog, which nothing writes after construction.
+# The admitter runs pre-solve iterations itself, beside the pool's workers.  server_test's PipelinedClientsStormBatchedPresolves,
 # under both algorithms, is the storm: four connections whose senders write
 # open-loop while their receivers read, with error frames and queries mixed
 # in, until batched pre-solves on the server's pool have been committed.
