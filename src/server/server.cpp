@@ -35,10 +35,8 @@ bool is_query(const std::string& payload, const char* verb) {
   return payload.rfind(verb, 0) == 0;
 }
 
-/// Parses a requirement frame, rejects services the overlay does not host,
-/// and pins the source to its first instance unless the frame pinned it
-/// (the sflowctl federate rule: the consumer contacts one concrete
-/// instance).  Throws std::invalid_argument with the client-facing reason.
+}  // namespace
+
 overlay::ServiceRequirement parse_and_pin(const std::string& payload,
                                           overlay::ServiceCatalog& catalog,
                                           const overlay::OverlayGraph& hosting) {
@@ -55,7 +53,28 @@ overlay::ServiceRequirement parse_and_pin(const std::string& payload,
   return requirement;
 }
 
-}  // namespace
+std::string format_response(std::uint64_t sequence,
+                            const core::AdmissionDecision& decision,
+                            const core::Scenario& scenario) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "status: " << (decision.admitted ? "admitted" : "rejected")
+      << "\nsequence: " << sequence << '\n';
+  if (decision.admitted) {
+    out << "rate: " << decision.rate
+        << "\nbandwidth: " << decision.outcome.bandwidth
+        << "\nlatency: " << decision.outcome.latency << "\nclamped: "
+        << (decision.rate < decision.outcome.bandwidth ? 1 : 0) << '\n'
+        << overlay::format_flow_graph(decision.outcome.graph,
+                                      scenario.overlay(), scenario.catalog);
+  } else {
+    out << "reason: "
+        << (decision.outcome.success ? "granted rate below the admission floor"
+                                     : "no feasible service flow graph")
+        << '\n';
+  }
+  return out.str();
+}
 
 Server::Connection::~Connection() {
   if (fd >= 0) ::close(fd);
@@ -360,7 +379,6 @@ void Server::serve_batch(std::vector<QueuedFrame> batch) {
   // seeds — bit-identical to the sequential run by construction, so the
   // pre-solve can only save work (all-reject batches commit entirely from
   // pre-solved outcomes), never change results.
-  const overlay::OverlayGraph& hosting = scenario_.overlay();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     QueuedFrame& slot = batch[i];
     if (!slot.requirement.has_value()) {
@@ -383,32 +401,11 @@ void Server::serve_batch(std::vector<QueuedFrame> batch) {
                             config_.admission, config_.seed);
       }
 
-      const bool clamped =
-          decision.admitted && decision.rate < decision.outcome.bandwidth;
       (decision.admitted ? metrics_.admitted : metrics_.rejected).increment();
-      if (clamped) metrics_.clamped.increment();
-
-      std::ostringstream out;
-      out.precision(17);
-      out << "status: " << (decision.admitted ? "admitted" : "rejected")
-          << "\nsequence: " << slot.sequence << '\n';
-      if (decision.admitted) {
-        out << "rate: " << decision.rate
-            << "\nbandwidth: " << decision.outcome.bandwidth
-            << "\nlatency: " << decision.outcome.latency
-            << "\nclamped: " << (clamped ? 1 : 0) << '\n'
-            << overlay::format_flow_graph(decision.outcome.graph, hosting,
-                                          scenario_.catalog);
-      } else {
-        out << "reason: "
-            << (decision.outcome.success
-                    ? "granted rate below the admission floor"
-                    : "no feasible service flow graph")
-            << '\n';
-      }
-      respond(*slot.conn, out.str());
+      if (decision.admitted && decision.rate < decision.outcome.bandwidth)
+        metrics_.clamped.increment();
+      respond(*slot.conn, format_response(slot.sequence, decision, scenario_));
       metrics_.latency.observe(ms_since(slot.enqueued));
-      history_.push_back({std::move(*slot.requirement), std::move(decision)});
     } catch (const std::exception& e) {
       // A commit-path failure (a solver invariant, allocation pressure while
       // formatting) fails this one request; the admitter — and the daemon —
@@ -430,7 +427,7 @@ void Server::respond(Connection& conn, const std::string& payload) {
     write_frame(conn.fd, payload);
   } catch (const std::exception&) {
     // The peer vanished or stalled past the send timeout; its response is
-    // lost but the decision stands (and is in history()).
+    // lost but the decision stands (its admit stays charged in the view).
   }
 }
 

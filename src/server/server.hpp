@@ -32,15 +32,21 @@
 //                      commits in sequence order and writes each response
 //                      as one frame.
 //
-// Determinism contract: request i draws util::derive_seed(seed, i) and is
-// committed through the same core::admit_one the batch solver iterates, so
-// the daemon's FCFS stream is bit-identical to a sequential
-// run_admission_sequence replay of history() — regardless of how requests
-// interleaved across connections or how the batch pre-solve raced.  A
-// pre-solved outcome is reused only when the view's generation is unchanged
-// since the pre-solve; otherwise the request is re-solved with its same
-// derived seed, which by construction yields the identical outcome the
-// sequential run would.  Parallelism changes wall-clock, never results.
+// Determinism contract, stated over what clients receive: request i draws
+// util::derive_seed(seed, i) and is committed through the same
+// core::admit_one the batch solver iterates, so every response the daemon
+// writes is byte-identical to format_response() of a sequential
+// run_admission_sequence replay of the served frames — each taken through
+// parse_and_pin() and placed at its response's sequence number — however
+// requests interleaved across connections or the batch pre-solve raced.
+// A frame that fails parse_and_pin() is answered `status: error` and draws
+// no sequence number, so sequences run 0..N-1 over the N solved requests.
+// A pre-solved outcome is reused only when the view's generation is
+// unchanged since the pre-solve; otherwise the request is re-solved with its
+// same derived seed, which by construction yields the identical outcome the
+// sequential run would.  Parallelism changes wall-clock, never results.  The
+// daemon keeps no per-request record: once a response is written, only an
+// admitted flow's charge on the residual view remains.
 //
 // Shutdown (stop()): close the listener, EOF every connection's read side,
 // join the readers, close the queue, and let the admitter drain — every
@@ -81,14 +87,23 @@ struct ServerConfig {
       graph::AllPairsShortestWidest::RepairMode::kLazy;
 };
 
-/// One answered requirement frame, in sequence (arrival) order.  The
-/// requirement is stored as admitted — after the source auto-pin — so
-/// replaying history() through run_admission_sequence reproduces the
-/// daemon's decisions exactly.
-struct ServedRequest {
-  overlay::ServiceRequirement requirement;
-  core::AdmissionDecision decision;
-};
+/// Parses a requirement frame against `catalog` (interning any new name into
+/// it), rejects services `hosting` does not host, and pins the source to its
+/// first instance unless the frame pinned it (the sflowctl federate rule: the
+/// consumer contacts one concrete instance).  Throws std::invalid_argument
+/// with the client-facing reason.  Readers run it on every requirement frame;
+/// a replay runs it to rebuild the stream the daemon served.
+overlay::ServiceRequirement parse_and_pin(const std::string& payload,
+                                          overlay::ServiceCatalog& catalog,
+                                          const overlay::OverlayGraph& hosting);
+
+/// The response payload for the request served as `sequence`: its status,
+/// and on admit the granted rate, the solved bandwidth and latency (all at
+/// precision 17), the clamp flag and the flow graph; on reject the reason.
+/// Wire format in docs/formats.md.
+std::string format_response(std::uint64_t sequence,
+                            const core::AdmissionDecision& decision,
+                            const core::Scenario& scenario);
 
 class Server {
  public:
@@ -126,14 +141,6 @@ class Server {
   /// Residual state after the served stream.  Stable only once stop() has
   /// returned (the admitter is the sole writer while running).
   const overlay::ResidualOverlay& view() const noexcept { return view_; }
-
-  /// The answered requirement stream in sequence order; stable after
-  /// stop().  Unparseable frames are answered with an error response and do
-  /// not appear here (they draw no randomness, so the replay contract holds
-  /// over exactly these requests).
-  const std::vector<ServedRequest>& history() const noexcept {
-    return history_;
-  }
 
  private:
   struct Connection {
@@ -235,7 +242,6 @@ class Server {
 
   std::thread admitter_;
   std::uint64_t next_sequence_ = 0;  // admitter-only
-  std::vector<ServedRequest> history_;
 
   std::mutex stop_mutex_;
   bool stopped_ = false;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pins the reproduction's tables (registered in ctest as figures_golden).
 #
-# Runs each figure bench with --threads 4 and diffs its stdout against the
+# Runs each figure bench (Fig. 10(a)/(c)/(d), and E5, E13/E14 and E15's
+# quality tables) with --threads 4 and diffs its stdout against the
 # committed file of the same name under the golden directory.  The benches
 # print only the series tables and their "Expected shape:" lines (no
 # timings), and their output is identical at every thread count, so any
@@ -18,7 +19,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 failures=0
 for bench in fig10a_correctness fig10c_latency fig10d_bandwidth \
-             ablation_knowledge; do
+             ablation_knowledge related_work_compare contention_compare; do
   if ! timeout 120 "$BIN/$bench" --threads 4 >"$TMP/$bench.txt" \
        2>"$TMP/$bench.err"; then
     echo "FAIL $bench: nonzero exit" >&2

@@ -46,7 +46,9 @@
 # draining iterations beside its workers, with the workers parked and with
 # throwing iterations) and server_test (reader threads racing the admitter,
 # drain-on-stop, the accept loop over a real unix socket) cross the
-# queue/view/history handoffs that only a sanitizer can audit.  Readers parse
+# queue and view handoffs that only a sanitizer can audit; the admitter keeps
+# no per-request record, so the test checks the responses its client threads
+# received against a sequential replay.  Readers parse
 # and source-pin requirements concurrently with the admitter's commits: each
 # parses against its own catalog copy, and both sides read the hosting
 # overlay and the shared catalog, which nothing writes after construction.

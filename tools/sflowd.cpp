@@ -152,8 +152,8 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
       static_cast<std::uint64_t>(get_long(flags, "seed", std::nullopt));
 
   server::ServerConfig config;
-  config.admission.algorithm =
-      algorithm_from_flag(get(flags, "algorithm", "sflow"));
+  if (const auto it = flags.find("algorithm"); it != flags.end())
+    config.admission.algorithm = algorithm_from_flag(it->second);
   config.seed = static_cast<std::uint64_t>(
       get_long(flags, "request-seed", static_cast<long>(hosting.seed)));
   config.max_queue_depth = static_cast<std::size_t>(get_long(
@@ -210,10 +210,11 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   if (!journal_path.empty())
     write_file(journal_path, obs::EventJournal::global().to_jsonl());
 
-  std::size_t admitted = 0;
-  for (const server::ServedRequest& served : daemon.history())
-    admitted += served.decision.admitted ? 1 : 0;
-  std::cout << "sflowd: served " << daemon.history().size() << " requests, "
+  const std::uint64_t admitted =
+      obs::Registry::global().counter("server_admitted_total").value();
+  const std::uint64_t rejected =
+      obs::Registry::global().counter("server_rejected_total").value();
+  std::cout << "sflowd: served " << admitted + rejected << " requests, "
             << admitted << " admitted, final generation "
             << daemon.view().generation() << "\n";
   return 0;
