@@ -42,7 +42,8 @@ const std::vector<AdmissionOrder>& all_admission_orders();
 
 struct AdmissionConfig {
   AdmissionOrder order = AdmissionOrder::kFcfs;
-  Algorithm algorithm = Algorithm::kSflow;
+  /// sflowd's default too: the exact search under its node budget.
+  Algorithm algorithm = Algorithm::kGlobalOptimal;
   /// Minimum granted rate (Mbps) for an admission to count; a solved flow
   /// whose rate lands below the floor is rejected and charges nothing.
   double bandwidth_floor = 1e-9;

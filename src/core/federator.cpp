@@ -59,6 +59,8 @@ std::optional<FederationResult> solve(Algorithm algorithm,
       break;
     }
     case Algorithm::kGlobalOptimal:
+      // Budgeted: a search that runs out before its first complete
+      // assignment returns the fixed solve of the same view.
       graph = optimal_flow_graph(overlay, requirement, overlay_routing);
       break;
     case Algorithm::kFixed:

@@ -4,7 +4,9 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
+#include "core/comparators.hpp"
 #include "graph/dag.hpp"
 #include "obs/metrics.hpp"
 
@@ -20,8 +22,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Search metrics (docs/observability.md): explored/pruned node counts are
 /// accumulated per solve and added once, so the search loop touches no
-/// atomics.  The legacy oracle does not report here — the counters describe
-/// the production path only.
+/// atomics; a solve that runs out of node budget counts once.  The legacy
+/// oracle does not report here — the counters describe the production path
+/// only.
 struct SearchMetrics {
   obs::Counter& nodes = obs::Registry::global().counter(
       "federation_search_nodes_total",
@@ -29,6 +32,9 @@ struct SearchMetrics {
   obs::Counter& pruned = obs::Registry::global().counter(
       "federation_search_pruned_total",
       "instance-selection branches cut by incumbent or future-bandwidth bound");
+  obs::Counter& budget_exhausted = obs::Registry::global().counter(
+      "federation_budget_exhausted_total",
+      "optimal solves stopped by the search-node budget");
 };
 
 SearchMetrics& search_metrics() {
@@ -103,8 +109,11 @@ struct TableSearchContext {
   graph::PathQuality best = graph::PathQuality::unreachable();
   std::vector<std::size_t> best_chosen;
 
-  TableSearchContext(const SearchShape& s, OptimalStats& st)
-      : shape(s), stats(st) {}
+  std::size_t budget;      // expansions left
+  bool exhausted = false;  // a search() call found the budget spent
+
+  TableSearchContext(const SearchShape& s, OptimalStats& st, std::size_t b)
+      : shape(s), stats(st), budget(b) {}
 
   void materialize_tables(const EdgeQualityFn& quality) {
     const std::size_t n = shape.topo.size();
@@ -157,7 +166,15 @@ struct TableSearchContext {
     return false;
   }
 
+  /// Expands position k.  With the budget spent it stops instead, and every
+  /// caller up the stack returns at once: the incumbent is then exactly the
+  /// one an unbudgeted search holds after the same number of expansions.
   void search(std::size_t k, double bottleneck, double latency_bound) {
+    if (budget == 0) {
+      exhausted = true;
+      return;
+    }
+    --budget;
     ++stats.nodes_explored;
     if (k == shape.topo.size()) {
       // Full assignment; latency_bound is now the exact critical-path latency
@@ -167,6 +184,7 @@ struct TableSearchContext {
       if (best.is_unreachable() || candidate.better_than(best)) {
         best = candidate;
         best_chosen = chosen;
+        stats.incumbent_node = stats.nodes_explored;
       }
       return;
     }
@@ -229,9 +247,40 @@ struct TableSearchContext {
       }
       dist[k] = move.dist;
       search(k + 1, move.bottleneck, bound_latency);
+      if (exhausted) return;
     }
   }
 };
+
+/// The production search with at most `budget` expansions.
+std::optional<ServiceFlowGraph> table_search(
+    const overlay::OverlayGraph& overlay,
+    const overlay::ServiceRequirement& requirement, const EdgeQualityFn& quality,
+    const EdgePathFn& expand, OptimalStats& stats, std::size_t budget) {
+  requirement.validate();
+  stats.budget_exhausted = false;
+  SearchShape shape;
+  if (!shape.build(overlay, requirement)) return std::nullopt;
+
+  TableSearchContext ctx(shape, stats, budget);
+  ctx.materialize_tables(quality);
+  ctx.chosen.assign(shape.topo.size(), 0);
+  ctx.dist.assign(shape.topo.size(), 0.0);
+  ctx.search(0, kInf, 0.0);
+  stats.budget_exhausted = ctx.exhausted;
+
+  SearchMetrics& metrics = search_metrics();
+  metrics.nodes.add(stats.nodes_explored);
+  metrics.pruned.add(stats.nodes_pruned);
+  if (ctx.exhausted) metrics.budget_exhausted.increment();
+
+  if (ctx.best.is_unreachable()) return std::nullopt;
+
+  std::vector<OverlayIndex> chosen(shape.topo.size());
+  for (std::size_t k = 0; k < shape.topo.size(); ++k)
+    chosen[k] = shape.cand[k][ctx.best_chosen[k]];
+  return materialize(requirement, shape, chosen, quality, expand);
+}
 
 // --- Legacy reference search -------------------------------------------------
 //
@@ -321,39 +370,28 @@ struct LegacySearchContext {
 std::optional<ServiceFlowGraph> optimal_flow_graph(
     const overlay::OverlayGraph& overlay,
     const overlay::ServiceRequirement& requirement,
-    const graph::AllPairsShortestWidest& routing, OptimalStats* stats) {
-  return optimal_flow_graph_custom(overlay, requirement,
-                                   routing_edge_quality(routing),
-                                   routing_edge_path(routing), stats);
+    const graph::AllPairsShortestWidest& routing, OptimalStats* stats,
+    std::size_t node_budget) {
+  OptimalStats local_stats;
+  OptimalStats& out = stats != nullptr ? *stats : local_stats;
+  std::optional<ServiceFlowGraph> graph =
+      table_search(overlay, requirement, routing_edge_quality(routing),
+                   routing_edge_path(routing), out, node_budget);
+  if (graph || !out.budget_exhausted) return graph;
+  std::optional<FederationResult> fixed =
+      fixed_federation(overlay, requirement, routing);
+  if (!fixed) return std::nullopt;
+  return std::move(fixed->graph);
 }
 
 std::optional<ServiceFlowGraph> optimal_flow_graph_custom(
     const overlay::OverlayGraph& overlay,
     const overlay::ServiceRequirement& requirement, const EdgeQualityFn& quality,
     const EdgePathFn& expand, OptimalStats* stats) {
-  requirement.validate();
   OptimalStats local_stats;
-  OptimalStats& out = stats != nullptr ? *stats : local_stats;
-
-  SearchShape shape;
-  if (!shape.build(overlay, requirement)) return std::nullopt;
-
-  TableSearchContext ctx(shape, out);
-  ctx.materialize_tables(quality);
-  ctx.chosen.assign(shape.topo.size(), 0);
-  ctx.dist.assign(shape.topo.size(), 0.0);
-  ctx.search(0, kInf, 0.0);
-
-  SearchMetrics& metrics = search_metrics();
-  metrics.nodes.add(out.nodes_explored);
-  metrics.pruned.add(out.nodes_pruned);
-
-  if (ctx.best.is_unreachable()) return std::nullopt;
-
-  std::vector<OverlayIndex> chosen(shape.topo.size());
-  for (std::size_t k = 0; k < shape.topo.size(); ++k)
-    chosen[k] = shape.cand[k][ctx.best_chosen[k]];
-  return materialize(requirement, shape, chosen, quality, expand);
+  return table_search(overlay, requirement, quality, expand,
+                      stats != nullptr ? *stats : local_stats,
+                      std::numeric_limits<std::size_t>::max());
 }
 
 std::optional<ServiceFlowGraph> optimal_flow_graph_legacy(

@@ -28,8 +28,15 @@
 // The same solver doubles as the exhaustive fallback of the heuristic
 // requirement solver on the small 2-hop local views of the distributed
 // algorithm.
+//
+// optimal_flow_graph runs under a search-node budget (kSearchNodeBudget by
+// default) so no single solve takes unbounded time: a search that runs out
+// stops and returns its incumbent, or the fixed solve of the same view when
+// it has none yet.  Both depend only on the view and the requirement, so a
+// budgeted solve is as deterministic as an unbudgeted one.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 
 #include "core/baseline.hpp"
@@ -40,6 +47,10 @@
 
 namespace sflow::core {
 
+/// Search-node budget of optimal_flow_graph: TableSearchContext::search
+/// expansions per solve.  The benchmark streams need at most a few hundred.
+inline constexpr std::size_t kSearchNodeBudget = std::size_t{1} << 16;
+
 struct OptimalStats {
   /// search() invocations (partial assignments expanded, full ones included).
   std::size_t nodes_explored = 0;
@@ -47,18 +58,28 @@ struct OptimalStats {
   std::size_t nodes_pruned = 0;
   /// Footprint of the materialized quality tables (0 for the legacy search).
   std::size_t table_bytes = 0;
+  /// nodes_explored when the returned assignment became the incumbent (0 when
+  /// the search found none).
+  std::size_t incumbent_node = 0;
+  /// The search ran out of node budget: the result is its incumbent, or the
+  /// fixed solve when it had none (federation_budget_exhausted_total).
+  bool budget_exhausted = false;
 };
 
 /// Finds the optimal flow graph (maximum bottleneck bandwidth, then minimum
 /// end-to-end latency) for an arbitrary DAG requirement.  Respects pins.
 /// Returns nullopt when the requirement is unsatisfiable on this overlay.
+/// A search that would expand more than `node_budget` nodes stops there and
+/// returns its incumbent, or fixed_federation's graph when it has none.
 std::optional<overlay::ServiceFlowGraph> optimal_flow_graph(
     const overlay::OverlayGraph& overlay,
     const overlay::ServiceRequirement& requirement,
-    const graph::AllPairsShortestWidest& routing, OptimalStats* stats = nullptr);
+    const graph::AllPairsShortestWidest& routing, OptimalStats* stats = nullptr,
+    std::size_t node_budget = kSearchNodeBudget);
 
 /// As above with caller-supplied abstract-edge quality/expansion (used by the
-/// heuristic solver on requirements containing virtual block edges).
+/// heuristic solver on requirements containing virtual block edges), and
+/// without a node budget.
 std::optional<overlay::ServiceFlowGraph> optimal_flow_graph_custom(
     const overlay::OverlayGraph& overlay,
     const overlay::ServiceRequirement& requirement, const EdgeQualityFn& quality,

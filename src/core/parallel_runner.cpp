@@ -53,14 +53,15 @@ TrialResult ParallelSweepRunner::run_trial(const TrialSpec& trial) {
   scenario.overlay_routing().precompute_all();
   TrialResult result;
   result.outcomes.reserve(trial.algorithms.size());
-  for (std::size_t slot = 0; slot < trial.algorithms.size(); ++slot) {
-    // Each (trial, algorithm slot) owns an Rng derived from the trial seed,
-    // never shared across slots — so neither execution order nor thread
-    // count can perturb any outcome.
-    util::Rng rng(util::derive_seed(trial.scenario_seed,
-                                    kAlgorithmStream + slot));
+  for (const Algorithm algorithm : trial.algorithms) {
+    // Each (trial, algorithm) owns an Rng derived from the trial seed and
+    // the algorithm, never from its slot — so neither execution order,
+    // thread count nor the bench's algorithm list can perturb any outcome.
+    util::Rng rng(util::derive_seed(
+        trial.scenario_seed,
+        kAlgorithmStream + static_cast<std::uint64_t>(algorithm)));
     result.outcomes.push_back(
-        run_algorithm(trial.algorithms[slot], scenario, rng, trial.config));
+        run_algorithm(algorithm, scenario, rng, trial.config));
   }
   return result;
 }

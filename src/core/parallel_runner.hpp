@@ -3,7 +3,7 @@
 //
 // Determinism contract: a trial's entire randomness derives from its
 // TrialSpec — the scenario from (params, scenario_seed), the per-algorithm
-// Rng from derive_seed(scenario_seed, algorithm slot).  Trials share no
+// Rng from derive_seed(scenario_seed, algorithm).  Trials share no
 // mutable state (each builds its own Scenario; the routing database is
 // thread-safe anyway), so the sweep's outcomes are bit-identical at any
 // thread count, including 1.  tests/parallel_runner_test.cpp pins this.

@@ -2,14 +2,17 @@
 // bounded branch-and-bound (core/global_optimal.cpp) and the flat-arena
 // abstract-graph DP (core/baseline.cpp) must be *bit-identical* to the legacy
 // implementations they replaced — same assignments, same paths, same
-// qualities, same tie-breaking — while exploring strictly less.  Plus unit
-// tests for the dominance-pruning frontier the DP is built on.
+// qualities, same tie-breaking — while exploring strictly less; the default
+// search-node budget binds in none of them.  Plus unit tests for the
+// dominance-pruning frontier the DP is built on and for the budget itself.
 #include <gtest/gtest.h>
 
 #include "check/validate.hpp"
 #include "core/abstract_dp.hpp"
 #include "core/baseline.hpp"
+#include "core/comparators.hpp"
 #include "core/global_optimal.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -213,6 +216,100 @@ TEST_P(OptimalEquivalence, BoundedSearchMatchesLegacyBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimalEquivalence,
                          ::testing::Range<std::uint64_t>(0, 100));
+
+// --- Search-node budget ------------------------------------------------------
+//
+// A 40-node scenario whose 8-service DAG needs several hundred search nodes:
+// the optimum turns up late, and the search keeps expanding after it to
+// prove it optimal, so small budgets bind at every stage of the search.
+
+Scenario deep_search_scenario() {
+  WorkloadParams params = testing::small_workload(40);
+  params.service_type_count = 8;
+  params.requirement.service_count = 8;
+  return make_scenario(params, 38);
+}
+
+std::uint64_t budget_exhaustions() {
+  return obs::Registry::global()
+      .counter("federation_budget_exhausted_total")
+      .value();
+}
+
+graph::PathQuality quality_of(const overlay::ServiceFlowGraph& graph,
+                              const ServiceRequirement& requirement) {
+  return {graph.bottleneck_bandwidth(), graph.end_to_end_latency(requirement)};
+}
+
+TEST(SearchNodeBudget, StopsAtTheIncumbentTheUnbudgetedSearchHeld) {
+  const Scenario scenario = deep_search_scenario();
+  const auto solve = [&](std::size_t budget, OptimalStats& stats) {
+    return optimal_flow_graph(scenario.overlay(), scenario.requirement,
+                              scenario.overlay_routing(), &stats, budget);
+  };
+  const std::uint64_t before = budget_exhaustions();
+  OptimalStats full;
+  const auto optimum = solve(kSearchNodeBudget, full);
+  ASSERT_TRUE(optimum);
+  EXPECT_FALSE(full.budget_exhausted);
+  EXPECT_EQ(budget_exhaustions(), before);
+  ASSERT_GT(full.incumbent_node, 64u);
+  ASSERT_LT(full.incumbent_node, full.nodes_explored);
+
+  // Budget 64: the search stops after 64 expansions with the incumbent it
+  // held then — valid, and strictly worse than the optimum found later.
+  OptimalStats at64;
+  const auto early = solve(64, at64);
+  ASSERT_TRUE(early);
+  EXPECT_TRUE(at64.budget_exhausted);
+  EXPECT_EQ(at64.nodes_explored, 64u);
+  EXPECT_EQ(budget_exhaustions(), before + 1);
+  const check::ValidationReport report = check::validate_flow_graph(
+      scenario.overlay(), scenario.requirement, *early);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  ASSERT_GT(at64.incumbent_node, 0u);
+  EXPECT_TRUE(quality_of(*optimum, scenario.requirement)
+                  .better_than(quality_of(*early, scenario.requirement)));
+
+  // Every budget returns the incumbent the unbudgeted search held after as
+  // many expansions: from the node an incumbent was found at until the next
+  // improvement, the result does not move.
+  OptimalStats found_early;
+  EXPECT_EQ(solve(at64.incumbent_node, found_early), early);
+  for (const std::size_t budget :
+       {full.incumbent_node, full.nodes_explored - 1}) {
+    OptimalStats stats;
+    EXPECT_EQ(solve(budget, stats), optimum) << "budget " << budget;
+    EXPECT_TRUE(stats.budget_exhausted);
+    EXPECT_EQ(stats.incumbent_node, full.incumbent_node);
+  }
+  // A budget the search fits in exactly does not bind.
+  OptimalStats exact;
+  EXPECT_EQ(solve(full.nodes_explored, exact), optimum);
+  EXPECT_FALSE(exact.budget_exhausted);
+  EXPECT_EQ(budget_exhaustions(), before + 4);
+}
+
+TEST(SearchNodeBudget, WithoutAnIncumbentReturnsTheFixedSolve) {
+  const Scenario scenario = deep_search_scenario();
+  // One expansion per service position comes before the first complete
+  // assignment, so this budget runs out with no incumbent.
+  const std::size_t budget = scenario.requirement.service_count();
+  const std::uint64_t before = budget_exhaustions();
+  OptimalStats stats;
+  const auto graph =
+      optimal_flow_graph(scenario.overlay(), scenario.requirement,
+                         scenario.overlay_routing(), &stats, budget);
+  const auto fixed = fixed_federation(scenario.overlay(), scenario.requirement,
+                                      scenario.overlay_routing());
+  ASSERT_TRUE(fixed);
+  ASSERT_TRUE(graph);
+  EXPECT_EQ(*graph, fixed->graph);
+  EXPECT_TRUE(stats.budget_exhausted);
+  EXPECT_EQ(stats.incumbent_node, 0u);
+  EXPECT_EQ(stats.nodes_explored, budget);
+  EXPECT_EQ(budget_exhaustions(), before + 1);
+}
 
 }  // namespace
 }  // namespace sflow::core

@@ -49,6 +49,21 @@ TEST(ParallelSweepRunner, ThreadCountDoesNotChangeOutcomes) {
   }
 }
 
+/// An algorithm's draws depend on the algorithm, not on its slot in the
+/// trial's list: Random alone and Random third in line agree.
+TEST(ParallelSweepRunner, RandomDrawsDoNotDependOnTheAlgorithmSlot) {
+  for (TrialSpec alone : sweep_trials(5)) {
+    TrialSpec lineup = alone;
+    alone.algorithms = {Algorithm::kRandom};
+    lineup.algorithms = {Algorithm::kFixed, Algorithm::kServicePath,
+                         Algorithm::kRandom};
+    const TrialResult a = ParallelSweepRunner::run_trial(alone);
+    const TrialResult b = ParallelSweepRunner::run_trial(lineup);
+    EXPECT_TRUE(a.outcomes[0].deterministically_equal(b.outcomes[2]))
+        << "seed " << alone.scenario_seed;
+  }
+}
+
 /// Two parallel runs must also agree with each other (no scheduling leak).
 TEST(ParallelSweepRunner, RepeatedParallelRunsAgree) {
   const std::vector<TrialSpec> trials = sweep_trials(6);

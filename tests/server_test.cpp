@@ -139,21 +139,26 @@ TEST(Framing, OversizedAnnouncedLengthThrows) {
 
 constexpr std::uint64_t kSeed = 11;
 
-std::unique_ptr<Server> make_server(
-    double floor = 1e-9, std::size_t max_queue_depth = 4096,
-    core::Algorithm algorithm = core::AdmissionConfig{}.algorithm,
-    std::size_t network_size = 24) {
+HostingConfig test_hosting(std::size_t network_size = 24) {
   HostingConfig hosting;
   hosting.network_size = network_size;
   hosting.service_count = 4;
   hosting.instances_per_service = 3;
   hosting.seed = kSeed;
+  return hosting;
+}
+
+std::unique_ptr<Server> make_server(
+    double floor = 1e-9, std::size_t max_queue_depth = 4096,
+    core::Algorithm algorithm = core::AdmissionConfig{}.algorithm,
+    std::size_t network_size = 24) {
   ServerConfig config;
   config.admission.algorithm = algorithm;
   config.admission.bandwidth_floor = floor;
   config.seed = util::derive_seed(kSeed, 1);
   config.max_queue_depth = max_queue_depth;
-  return std::make_unique<Server>(make_hosting_scenario(hosting), config);
+  return std::make_unique<Server>(
+      make_hosting_scenario(test_hosting(network_size)), config);
 }
 
 std::string request(int fd, const std::string& payload) {
@@ -297,6 +302,37 @@ TEST(Server, RejectsWhenGrantedRateFallsBelowTheFloor) {
   expect_replay_identical(*server, {{{frame}, {response}}});
 }
 
+// A daemon built from the default ServerConfig, as sflowd without
+// --algorithm is, serves the exact search and never runs the simulated sFlow
+// protocol.
+TEST(Server, DefaultConfigServesTheExactSearch) {
+  obs::Counter& search_nodes =
+      obs::Registry::global().counter("federation_search_nodes_total");
+  obs::Counter& sflow_runs =
+      obs::Registry::global().counter("federation_runs_total");
+  const std::uint64_t search_nodes_before = search_nodes.value();
+  const std::uint64_t sflow_runs_before = sflow_runs.value();
+
+  Server server(make_hosting_scenario(test_hosting()), ServerConfig{});
+  SocketPair pair;
+  server.adopt_connection(pair.release(0));
+
+  Exchange exchange;
+  for (const std::string frame :
+       {"S0 -> S1\n", "S1 -> S2\nS2 -> S3\n", "S3 -> S0\nS0 -> S2\n"}) {
+    exchange.frames.push_back(frame);
+    exchange.responses.push_back(request(pair.fds[1], frame));
+    EXPECT_TRUE(starts_with(exchange.responses.back(), "status: admitted") ||
+                starts_with(exchange.responses.back(), "status: rejected"))
+        << exchange.responses.back();
+  }
+  server.stop();
+
+  EXPECT_GT(search_nodes.value(), search_nodes_before);
+  EXPECT_EQ(sflow_runs.value(), sflow_runs_before);
+  expect_replay_identical(server, {exchange});
+}
+
 TEST(Server, UnknownServiceIsAnErrorAndDrawsNoSequence) {
   auto server = make_server();
   SocketPair pair;
@@ -407,10 +443,10 @@ TEST(Server, DrainOnStopAnswersEverythingBitIdenticalToSequentialReplay) {
 // (TSan-load-bearing).  Pipelined rounds, each waited out before the next,
 // keep admissions landing between batches.  No admission builds a routing
 // database from scratch: the first one clones the warm database the admitter
-// shares with the hosting scenario.  Run under the optimal search and under
-// sFlow, the daemon default, whose nodes cover the whole hosted overlay and
-// so read the shared database as their local view from the pre-solve
-// threads too.
+// shares with the hosting scenario.  Run under the optimal search, the
+// daemon default, and under sFlow, whose nodes cover the whole hosted
+// overlay and so read the shared database as their local view from the
+// pre-solve threads too.
 class PresolveRepair : public ::testing::TestWithParam<core::Algorithm> {};
 
 TEST_P(PresolveRepair, PresolveThreadsRepairStaleRoutingTrees) {

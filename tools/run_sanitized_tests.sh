@@ -37,8 +37,8 @@
 # util::ThreadPool) repair the trees its admissions left stale, on the
 # database the first admission cloned from the warm one the admitter shares
 # with its hosting scenario (copy-on-write, admission_test pins the clone);
-# TSan is load-bearing there.  That test runs under the optimal search and
-# under sFlow, the daemon default: every sFlow node on the hosted overlay
+# TSan is load-bearing there.  That test runs under the optimal search, the
+# daemon default, and under sFlow: every sFlow node on the hosted overlay
 # covers the whole overlay in two hops, so the pre-solve threads read the
 # shared database as the nodes' local view instead of cutting private copies.
 # The federation server rides along, and TSan is load-bearing for it:

@@ -13,6 +13,11 @@
 //       the overlay/requirement_parser.hpp text format, answered with an
 //       admit/reject/error report (and the flow graph on admit).
 //
+//       Requests are solved by the exact search (`optimal`, the default)
+//       under its search-node budget (core/global_optimal.hpp);
+//       --algorithm picks another solver, e.g. `sflow` for the simulated
+//       distributed protocol.
+//
 //       SIGINT/SIGTERM shut down cleanly: stop accepting, drain every
 //       request already read (each gets its response), then flush the final
 //       metrics/journal dumps and print a serve summary.  The drain is what
@@ -54,7 +59,9 @@ using namespace sflow;
       "         [--algorithm sflow|optimal|fixed|random|path] [--floor F]\n"
       "         [--request-seed R] [--max-queue-depth Q]\n"
       "         [--metrics PATH] [--metrics-format prom|json]\n"
-      "         [--journal PATH]\n";
+      "         [--journal PATH]\n"
+      "  --algorithm defaults to optimal (the exact search under its\n"
+      "  search-node budget).\n";
   std::exit(2);
 }
 
