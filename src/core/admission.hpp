@@ -90,8 +90,7 @@ FederationView admission_view(const Scenario& scenario,
 /// bandwidth floor, and — when admitted — charges `view` (overlay and
 /// underlay links; requires scenario.routing).  The outcome must have been solved on `view`'s residual
 /// graph in its *current* generation, or the clamp/charge would be against
-/// state the solver never saw (sflowd checks the generation before reusing a
-/// batch pre-solve).
+/// state the solver never saw.
 AdmissionDecision apply_admission(const Scenario& scenario,
                                   overlay::ResidualOverlay& view,
                                   std::size_t request_index,

@@ -19,7 +19,6 @@
 #include "overlay/serialization.hpp"
 #include "server/frame.hpp"
 #include "server/hosting.hpp"
-#include "util/rng.hpp"
 
 namespace sflow::server {
 
@@ -99,9 +98,6 @@ Server::Metrics::Metrics()
           "admissions clamped below solver bandwidth by physical headroom")),
       batches(obs::Registry::global().counter(
           "server_batches_total", "admitter queue drains")),
-      presolve_hits(obs::Registry::global().counter(
-          "server_batch_presolve_hits_total",
-          "pre-solved outcomes committed without a re-solve")),
       accept_failures(obs::Registry::global().counter(
           "server_accept_failures_total",
           "transient accept() failures survived (fd exhaustion, resets)")),
@@ -123,12 +119,6 @@ Server::Server(core::Scenario scenario, ServerConfig config)
       config_(std::move(config)),
       view_(scenario_.view),
       catalog_text_(catalog_listing(scenario_)) {
-  // Warm every source tree before the first request: the batch pre-solve
-  // queries the database from multiple threads, and a warm cache turns those
-  // first-touch Dijkstra builds into wait-free pointer loads.  The first
-  // admission clones the warm database (view_ shares it with scenario_), so
-  // the warm-up carries over.
-  view_.routing().precompute_all(presolve_pool_);
   admitter_ = std::thread(&Server::admitter_loop, this);
 }
 
@@ -248,7 +238,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
       }
       metrics_.requests.increment();
       QueuedFrame frame{conn, std::nullopt, std::string(),
-                        std::chrono::steady_clock::now(), 0};
+                        std::chrono::steady_clock::now()};
       try {
         frame.requirement =
             parse_and_pin(payload, catalog, scenario_.overlay());
@@ -259,8 +249,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
         catalog = scenario_.catalog;
       {
         std::unique_lock lock(queue_mutex_);
-        if (config_.max_queue_depth > 0 &&
-            queue_.size() >= config_.max_queue_depth && !stopping_.load()) {
+        if (queue_.size() >= config_.max_queue_depth && !stopping_.load()) {
           // Past the high-water mark: park this reader until the admitter
           // drains, stalling the client's pipeline (it wrote frames we have
           // not read yet) instead of growing the queue without bound.
@@ -309,8 +298,8 @@ void Server::admitter_loop() {
       queue_ready_.wait(lock,
                         [this] { return !queue_.empty() || queue_closed_; });
       if (queue_.empty() && queue_closed_) return;
-      // Everything queued right now forms one batch: concurrent arrivals
-      // are pre-solved together, stragglers wait for the next drain.
+      // Everything queued right now forms one batch, served in arrival
+      // order; stragglers wait for the next drain.
       while (!queue_.empty()) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
@@ -333,79 +322,27 @@ void Server::admitter_loop() {
 
 void Server::serve_batch(std::vector<QueuedFrame> batch) {
   metrics_.batches.increment();
-
-  // Readers parsed and pinned every frame; sequence numbers follow queue
-  // (arrival) order over the frames that parsed.  Rejected frames keep their
-  // batch slot so the commit loop answers them in arrival order —
-  // docs/formats.md promises per-connection send-order responses, and error
-  // frames carry no sequence a pipelining client could correlate by — but
-  // draw no randomness, so they cannot shift any later request's derived
-  // seed.
-  std::size_t parsed = 0;
-  for (QueuedFrame& frame : batch)
-    if (frame.requirement) {
-      frame.sequence = next_sequence_++;
-      ++parsed;
-    }
-
-  // Read-only pre-solve of the whole batch against the current residual
-  // state, the admitter solving its share alongside the pool's workers.
-  // Safe in parallel: solvers only run const queries against the shared
-  // routing database (thread-safe lazy trees) and the residual graph, and
-  // each request owns its derived rng.
-  std::vector<std::optional<core::FederationOutcome>> presolved(batch.size());
-  const std::uint64_t presolve_generation = view_.generation();
-  if (parsed > 1) {
-    try {
-      presolve_pool_.parallel_for(0, batch.size(), [&](std::size_t i) {
-        if (!batch[i].requirement) return;
-        util::Rng rng(util::derive_seed(config_.seed, batch[i].sequence));
-        presolved[i] = core::run_algorithm(
-            config_.admission.algorithm,
-            core::admission_view(scenario_, view_, *batch[i].requirement), rng,
-            config_.admission.sflow);
-      });
-    } catch (...) {
-      // A solver throw is contained here: drop every pre-solved outcome and
-      // let the serial commit re-solve, where the per-request handler below
-      // turns the same (deterministic) throw into one error response.
-      for (auto& outcome : presolved) outcome.reset();
-    }
-  }
-
-  // Serial commit in sequence order.  A pre-solved outcome is valid only
-  // while the view's generation is what it was solved on; the first admit
-  // invalidates the rest of the batch, which re-solves with the same derived
-  // seeds — bit-identical to the sequential run by construction, so the
-  // pre-solve can only save work (all-reject batches commit entirely from
-  // pre-solved outcomes), never change results.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    QueuedFrame& slot = batch[i];
-    if (!slot.requirement.has_value()) {
+  // Readers parsed and pinned every frame; the admitter serves them in queue
+  // (arrival) order, so each connection gets its responses in send order
+  // (docs/formats.md) — error frames carry no sequence a pipelining client
+  // could correlate by.  An error frame draws no sequence number, and with
+  // it no randomness, so it cannot shift any later request's derived seed.
+  for (QueuedFrame& frame : batch) {
+    if (!frame.requirement) {
       metrics_.errors.increment();
-      respond(*slot.conn, slot.error);
-      metrics_.latency.observe(ms_since(slot.enqueued));
+      respond(*frame.conn, frame.error);
+      metrics_.latency.observe(ms_since(frame.enqueued));
       continue;
     }
+    const std::uint64_t sequence = next_sequence_++;
     try {
-      core::AdmissionDecision decision;
-      if (presolved[i].has_value() &&
-          view_.generation() == presolve_generation) {
-        metrics_.presolve_hits.increment();
-        decision = core::apply_admission(scenario_, view_, slot.sequence,
-                                         config_.admission,
-                                         std::move(*presolved[i]));
-      } else {
-        decision =
-            core::admit_one(scenario_, view_, *slot.requirement, slot.sequence,
-                            config_.admission, config_.seed);
-      }
-
+      const core::AdmissionDecision decision =
+          core::admit_one(scenario_, view_, *frame.requirement, sequence,
+                          config_.admission, config_.seed);
       (decision.admitted ? metrics_.admitted : metrics_.rejected).increment();
       if (decision.admitted && decision.rate < decision.outcome.bandwidth)
         metrics_.clamped.increment();
-      respond(*slot.conn, format_response(slot.sequence, decision, scenario_));
-      metrics_.latency.observe(ms_since(slot.enqueued));
+      respond(*frame.conn, format_response(sequence, decision, scenario_));
     } catch (const std::exception& e) {
       // A commit-path failure (a solver invariant, allocation pressure while
       // formatting) fails this one request; the admitter — and the daemon —
@@ -413,11 +350,10 @@ void Server::serve_batch(std::vector<QueuedFrame> batch) {
       // what a sequential replay hitting the same deterministic throw would
       // observe.
       metrics_.internal_errors.increment();
-      respond(*slot.conn,
-              std::string("status: error\nreason: internal: ") + e.what() +
-                  "\n");
-      metrics_.latency.observe(ms_since(slot.enqueued));
+      respond(*frame.conn, std::string("status: error\nreason: internal: ") +
+                               e.what() + "\n");
     }
+    metrics_.latency.observe(ms_since(frame.enqueued));
   }
 }
 

@@ -23,28 +23,22 @@
 //                      overlay does not host is dropped with its frame: the
 //                      reader restores its catalog copy, and the shared
 //                      scenario catalog never changes after construction.
-//   admitter thread    the sole owner of the residual view.  Drains the
-//                      queue in batches: assigns arrival-order sequence
-//                      numbers, pre-solves the batch read-only in parallel
-//                      (the admitter solves its share alongside a 2-worker
-//                      util::ThreadPool, over the shared routing database,
-//                      which is safe for concurrent const queries), then
-//                      commits in sequence order and writes each response
-//                      as one frame.
+//   admitter thread    the sole owner of the residual view and the only
+//                      thread that solves.  Drains the queue in batches and
+//                      serves each frame in arrival order: an error frame
+//                      gets its finished `status: error` response; every
+//                      other frame draws the next sequence number and goes
+//                      through core::admit_one, then format_response, and is
+//                      written back as one frame.
 //
 // Determinism contract, stated over what clients receive: request i draws
-// util::derive_seed(seed, i) and is committed through the same
-// core::admit_one the batch solver iterates, so every response the daemon
-// writes is byte-identical to format_response() of a sequential
-// run_admission_sequence replay of the served frames — each taken through
-// parse_and_pin() and placed at its response's sequence number — however
-// requests interleaved across connections or the batch pre-solve raced.
-// A frame that fails parse_and_pin() is answered `status: error` and draws
-// no sequence number, so sequences run 0..N-1 over the N solved requests.
-// A pre-solved outcome is reused only when the view's generation is
-// unchanged since the pre-solve; otherwise the request is re-solved with its
-// same derived seed, which by construction yields the identical outcome the
-// sequential run would.  Parallelism changes wall-clock, never results.  The
+// util::derive_seed(seed, i) and is served by the same core::admit_one that
+// run_admission_sequence iterates, so every response the daemon writes is
+// byte-identical to format_response() of a sequential replay of the served
+// frames — each taken through parse_and_pin() and placed at its response's
+// sequence number — however requests interleaved across connections.  A
+// frame that fails parse_and_pin() is answered `status: error` and draws no
+// sequence number, so sequences run 0..N-1 over the N solved requests.  The
 // daemon keeps no per-request record: once a response is written, only an
 // admitted flow's charge on the residual view remains.
 //
@@ -54,6 +48,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -67,7 +62,6 @@
 #include "core/admission.hpp"
 #include "core/scenario.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sflow::server {
 
@@ -80,7 +74,7 @@ struct ServerConfig {
   /// past it parks until the admitter drains, so an open-loop client that
   /// outpaces the solver stalls its own pipeline (per-connection
   /// backpressure) instead of growing the queue — and its parsed
-  /// requirements — without bound.  0 = unbounded.
+  /// requirements — without bound.  At least 1.
   std::size_t max_queue_depth = 4096;
   /// Only for the frozen sflowbench replica; routing repair is always lazy.
   graph::AllPairsShortestWidest::RepairMode routing_repair =
@@ -164,7 +158,6 @@ class Server {
     /// When the frame had been read (before the parse): the start of
     /// server_request_latency_ms.
     std::chrono::steady_clock::time_point enqueued;
-    std::uint64_t sequence = 0;  // assigned by the admitter
   };
 
   /// Lazily registered process-wide metrics (docs/observability.md).
@@ -176,7 +169,6 @@ class Server {
     obs::Counter& errors;
     obs::Counter& clamped;
     obs::Counter& batches;
-    obs::Counter& presolve_hits;
     obs::Counter& accept_failures;
     obs::Counter& backpressure;
     obs::Counter& internal_errors;
@@ -207,12 +199,6 @@ class Server {
   core::Scenario scenario_;
   ServerConfig config_;
   overlay::ResidualOverlay view_;
-  /// Workers for the read-only batch pre-solve; the admitter solves
-  /// iterations alongside them (util::ThreadPool::parallel_for).  The commit
-  /// is always serial — that is what the determinism pin rests on — so the
-  /// pool size changes wall-clock, never results.
-  static constexpr std::size_t kPresolveThreads = 2;
-  util::ThreadPool presolve_pool_{kPresolveThreads};
   /// GET /catalog response, precomputed once.  Nothing interns into
   /// scenario_.catalog after construction (each reader parses against its
   /// own copy), so the listing never goes stale.

@@ -438,28 +438,23 @@ TEST(Server, DrainOnStopAnswersEverythingBitIdenticalToSequentialReplay) {
   expect_replay_identical(*server, exchanges);
 }
 
-// Admissions leave routing trees stale; the next batch's pre-solve threads
-// repair them on first query, racing each other on the per-slot mutex
-// (TSan-load-bearing).  Pipelined rounds, each waited out before the next,
-// keep admissions landing between batches.  No admission builds a routing
-// database from scratch: the first one clones the warm database the admitter
-// shares with the hosting scenario.  Run under the optimal search, the
-// daemon default, and under sFlow, whose nodes cover the whole hosted
-// overlay and so read the shared database as their local view from the
-// pre-solve threads too.
-class PresolveRepair : public ::testing::TestWithParam<core::Algorithm> {};
+// Admissions leave routing trees stale; the admitter repairs them on the
+// next request's first query.  The admitter is the only thread that touches
+// the database, so the repairs are the same on every run.  No admission
+// builds a routing database from scratch: the first one clones the database
+// the admitter shares with the hosting scenario.  Run under the optimal
+// search, the daemon default, and under sFlow, whose nodes cover the whole
+// hosted overlay and so read the shared database as their local view.
+class ServedStream : public ::testing::TestWithParam<core::Algorithm> {};
 
-TEST_P(PresolveRepair, PresolveThreadsRepairStaleRoutingTrees) {
+TEST_P(ServedStream, AdmitterRepairsStaleRoutingTrees) {
   constexpr std::size_t kRequestsPerRound = 6;
-  constexpr std::size_t kMaxRounds = 40;
+  constexpr std::size_t kRounds = 3;
   obs::Counter& repairs =
       obs::Registry::global().counter("routing_lazy_repairs_total");
-  obs::Counter& batches =
-      obs::Registry::global().counter("server_batches_total");
   obs::Counter& full_rebuilds =
       obs::Registry::global().counter("routing_full_rebuilds_total");
   const std::uint64_t repairs_before = repairs.value();
-  const std::uint64_t batches_before = batches.value();
   const std::uint64_t full_rebuilds_before = full_rebuilds.value();
 
   auto server =
@@ -467,11 +462,9 @@ TEST_P(PresolveRepair, PresolveThreadsRepairStaleRoutingTrees) {
   SocketPair pair;
   server->adopt_connection(pair.release(0));
 
-  // Stop once some batch held several requests (a pre-solve ran) after at
-  // least three rounds.
   Exchange exchange;
   std::size_t admitted = 0;
-  for (std::size_t round = 0; round < kMaxRounds; ++round) {
+  for (std::size_t round = 0; round < kRounds; ++round) {
     for (std::size_t r = 0; r < kRequestsPerRound; ++r) {
       const std::size_t first = (round + r) % 4;
       std::string requirement;
@@ -490,15 +483,10 @@ TEST_P(PresolveRepair, PresolveThreadsRepairStaleRoutingTrees) {
       admitted += starts_with(response, "status: admitted") ? 1 : 0;
       exchange.responses.push_back(response);
     }
-    if (round >= 2 &&
-        batches.value() - batches_before < exchange.responses.size())
-      break;
   }
   server->stop();
 
   EXPECT_GT(admitted, 1u);
-  // A pre-solve ran: some batch held several requests.
-  EXPECT_LT(batches.value() - batches_before, exchange.responses.size());
   EXPECT_GT(repairs.value(), repairs_before);
   EXPECT_EQ(full_rebuilds.value(), full_rebuilds_before);
   expect_replay_identical(*server, {exchange});
@@ -508,19 +496,19 @@ TEST_P(PresolveRepair, PresolveThreadsRepairStaleRoutingTrees) {
 // each with a sender that writes open-loop — never waiting on a response —
 // and a receiver that reads until the EOF stop() delivers.  Frames mix
 // chains of 2-4 hosted services, an unhosted-service frame every 7th, and
-// metrics/catalog queries, so reader threads, the admitter and its batched
-// pre-solves all race over one served stream.  Rounds repeat on the same
-// server until some batch committed a pre-solved outcome.  The 40-node
-// underlay leaves room for several admits while the first batches are large,
-// so a pre-solve reused after an admit in its own batch would change a
-// response the clients see.
-TEST_P(PresolveRepair, PipelinedClientsStormBatchedPresolves) {
+// metrics/catalog queries, so reader threads and the admitter race over one
+// served stream.  Rounds repeat on the same server until some batch held
+// several requests: server_batches_total grew by less than the number of
+// requirement frames answered.  The 40-node underlay leaves room for several
+// admits while the first batches are large, so an admit that a later request
+// in its own batch did not see would change a response the clients see.
+TEST_P(ServedStream, PipelinedClientsStorm) {
   constexpr std::size_t kConnections = 4;
   constexpr std::size_t kFramesPerRound = 30;
   constexpr std::size_t kMaxRounds = 20;
-  obs::Counter& hits =
-      obs::Registry::global().counter("server_batch_presolve_hits_total");
-  const std::uint64_t hits_before = hits.value();
+  obs::Counter& batches =
+      obs::Registry::global().counter("server_batches_total");
+  const std::uint64_t batches_before = batches.value();
 
   struct Client {
     SocketPair pair;
@@ -551,6 +539,14 @@ TEST_P(PresolveRepair, PipelinedClientsStormBatchedPresolves) {
       }
     });
   }
+  // Every requirement frame sent so far has been answered whenever this is
+  // called (each round is waited out), and each batch holds at least one.
+  const auto some_batch_held_several = [&] {
+    std::size_t frames = 0;
+    for (const Client& client : clients)
+      frames += client.exchange.frames.size();
+    return batches.value() - batches_before < frames;
+  };
 
   std::size_t rounds = 0;
   do {
@@ -586,30 +582,45 @@ TEST_P(PresolveRepair, PipelinedClientsStormBatchedPresolves) {
       ADD_FAILURE() << "round " << rounds << " went unanswered";
       break;  // stop() below still EOFs the receivers
     }
-  } while (hits.value() == hits_before && rounds < kMaxRounds);
+  } while (!some_batch_held_several() && rounds < kMaxRounds);
   server->stop();
   for (std::thread& receiver : receivers) receiver.join();
 
   std::vector<Exchange> exchanges;
   for (const Client& client : clients) exchanges.push_back(client.exchange);
-  EXPECT_GT(hits.value(), hits_before) << "no pre-solve committed in "
-                                       << rounds << " rounds";
+  EXPECT_TRUE(some_batch_held_several())
+      << "every batch held one request in " << rounds << " rounds";
   expect_replay_identical(*server, exchanges);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Algorithms, PresolveRepair,
+    Algorithms, ServedStream,
     ::testing::Values(core::Algorithm::kGlobalOptimal, core::Algorithm::kSflow),
     [](const ::testing::TestParamInfo<core::Algorithm>& info) {
       return info.param == core::Algorithm::kSflow ? "Sflow" : "GlobalOptimal";
     });
 
-std::size_t open_fd_count() {
+std::size_t directory_size(const char* path) {
   std::size_t count = 0;
   for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/fd"))
+       std::filesystem::directory_iterator(path))
     ++count;
   return count;
+}
+
+std::size_t open_fd_count() { return directory_size("/proc/self/fd"); }
+
+// The admitter is the only thread that solves: a daemon serving one
+// connection runs its admitter and that connection's reader, and no solver
+// pool.
+TEST(Server, ServesWithoutSolverThreads) {
+  const std::size_t before = directory_size("/proc/self/task");
+  auto server = make_server();
+  SocketPair pair;
+  server->adopt_connection(pair.release(0));
+  EXPECT_TRUE(starts_with(request(pair.fds[1], "S0 -> S1\nS1 -> S2\n"),
+                          "status: "));
+  EXPECT_EQ(directory_size("/proc/self/task") - before, 2u);
 }
 
 // Regression: a long-running daemon must reclaim per-connection resources

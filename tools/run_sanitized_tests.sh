@@ -32,30 +32,23 @@
 # double-checked locks, and pool-parallel repair through precompute_all —
 # with a from-scratch oracle diff, under the same sanitizers.
 # ConcurrentLazyRepairsAreSafe races eight threads through first-touch
-# repairs of the same stale slots, and server_test's
-# PresolveThreadsRepairStaleRoutingTrees has the daemon's pre-solve pool (a
-# util::ThreadPool) repair the trees its admissions left stale, on the
-# database the first admission cloned from the warm one the admitter shares
-# with its hosting scenario (copy-on-write, admission_test pins the clone);
-# TSan is load-bearing there.  That test runs under the optimal search, the
-# daemon default, and under sFlow: every sFlow node on the hosted overlay
-# covers the whole overlay in two hops, so the pre-solve threads read the
-# shared database as the nodes' local view instead of cutting private copies.
+# repairs of the same stale slots; thread_pool_test covers exception capture
+# across workers and parallel_for's caller draining iterations beside its
+# workers, with the workers parked and with throwing iterations.
 # The federation server rides along, and TSan is load-bearing for it:
-# thread_pool_test (exception capture across workers; parallel_for's caller
-# draining iterations beside its workers, with the workers parked and with
-# throwing iterations) and server_test (reader threads racing the admitter,
-# drain-on-stop, the accept loop over a real unix socket) cross the
-# queue and view handoffs that only a sanitizer can audit; the admitter keeps
-# no per-request record, so the test checks the responses its client threads
-# received against a sequential replay.  Readers parse
-# and source-pin requirements concurrently with the admitter's commits: each
-# parses against its own catalog copy, and both sides read the hosting
-# overlay and the shared catalog, which nothing writes after construction.
-# The admitter runs pre-solve iterations itself, beside the pool's workers.  server_test's PipelinedClientsStormBatchedPresolves,
-# under both algorithms, is the storm: four connections whose senders write
-# open-loop while their receivers read, with error frames and queries mixed
-# in, until batched pre-solves on the server's pool have been committed.
+# server_test (reader threads racing the admitter, drain-on-stop, the accept
+# loop over a real unix socket) crosses the queue and connection handoffs
+# that only a sanitizer can audit.  The admitter is the only thread that
+# solves, repairs routing trees or touches the residual view; readers parse
+# and source-pin requirements concurrently with it, each against its own
+# catalog copy, and both sides read the hosting overlay and the shared
+# catalog, which nothing writes after construction.  The admitter keeps no
+# per-request record, so the tests check the responses their client threads
+# received against a sequential replay.  server_test's
+# ServedStream.PipelinedClientsStorm, under the optimal search and under
+# sFlow, is the storm: four connections whose senders write open-loop while
+# their receivers read, with error frames and queries mixed in, until some
+# admitter batch has held several requests.
 # sflowd_cli runs the daemon binary itself: usage errors, then a served
 # round that drains on SIGTERM.
 #

@@ -164,7 +164,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   config.seed = static_cast<std::uint64_t>(
       get_long(flags, "request-seed", static_cast<long>(hosting.seed)));
   config.max_queue_depth = static_cast<std::size_t>(get_long(
-      flags, "max-queue-depth", static_cast<long>(config.max_queue_depth), 0));
+      flags, "max-queue-depth", static_cast<long>(config.max_queue_depth), 1));
   if (const auto it = flags.find("floor"); it != flags.end()) {
     const std::string& floor = it->second;
     double value = 0;

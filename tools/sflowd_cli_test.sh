@@ -52,8 +52,10 @@ check zero-services 2 "must be at least 1" -- \
   --socket "$SOCK" --network-size 12 --seed 1 --services 0
 check negative-instances 2 "must be at least 1" -- \
   --socket "$SOCK" --network-size 12 --seed 1 --instances-per-service -1
-check negative-queue-depth 2 "must be at least 0" -- \
+check negative-queue-depth 2 "must be at least 1" -- \
   --socket "$SOCK" --network-size 12 --seed 1 --max-queue-depth -1
+check zero-queue-depth 2 "must be at least 1" -- \
+  --socket "$SOCK" --network-size 12 --seed 1 --max-queue-depth 0
 check partial-seed 2 "bad integer" -- \
   --socket "$SOCK" --network-size 12 --seed 1x
 check negative-floor 2 "bad --floor" -- \
