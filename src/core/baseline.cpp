@@ -32,12 +32,23 @@ EdgePathFn routing_edge_path(const graph::AllPairsShortestWidest& routing) {
 std::vector<OverlayIndex> candidate_instances(
     const overlay::OverlayGraph& overlay,
     const overlay::ServiceRequirement& requirement, Sid sid) {
+  std::vector<OverlayIndex> candidates;
+  append_candidate_instances(overlay, requirement, sid, candidates);
+  return candidates;
+}
+
+std::size_t append_candidate_instances(const overlay::OverlayGraph& overlay,
+                                       const overlay::ServiceRequirement& requirement,
+                                       Sid sid, std::vector<OverlayIndex>& out) {
   if (const auto pin = requirement.pinned(sid)) {
     const auto inst = overlay.instance_at(*pin);
-    if (!inst || overlay.instance(*inst).sid != sid) return {};
-    return {*inst};
+    if (!inst || overlay.instance(*inst).sid != sid) return 0;
+    out.push_back(*inst);
+    return 1;
   }
-  return overlay.instances_of(sid);
+  const std::vector<OverlayIndex>& all = overlay.instances_of(sid);
+  out.insert(out.end(), all.begin(), all.end());
+  return all.size();
 }
 
 std::optional<ServiceFlowGraph> baseline_single_path(

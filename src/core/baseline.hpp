@@ -57,6 +57,13 @@ std::vector<overlay::OverlayIndex> candidate_instances(
     const overlay::OverlayGraph& overlay,
     const overlay::ServiceRequirement& requirement, overlay::Sid sid);
 
+/// Appends candidate_instances(overlay, requirement, sid) to `out` without a
+/// temporary vector; returns how many it appended.
+std::size_t append_candidate_instances(const overlay::OverlayGraph& overlay,
+                                       const overlay::ServiceRequirement& requirement,
+                                       overlay::Sid sid,
+                                       std::vector<overlay::OverlayIndex>& out);
+
 /// Observability of one abstract-graph DP solve (0 for the legacy path).
 struct BaselineStats {
   /// Flat abstract-graph arena footprint.

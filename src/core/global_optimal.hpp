@@ -10,8 +10,10 @@
 // assignment that cannot beat the incumbent is pruned.
 //
 // The production search (docs/algorithms.md, "Complexity & pruning") works
-// off dense per-position quality tables materialized once up front — the
-// inner loop is array indexing, not std::function dispatch — and prunes with
+// off dense per-position quality tables materialized once up front, one
+// routing-tree row per predecessor candidate, in a per-thread workspace it
+// reuses across solves — the inner loop is array indexing, not
+// std::function dispatch — and prunes with
 // an admissible future-bandwidth bound conditioned on the partial
 // assignment: after tentatively placing a move, a remaining topological
 // position where no candidate can reach the incumbent's bandwidth through

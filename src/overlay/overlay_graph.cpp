@@ -56,10 +56,10 @@ OverlayGraph OverlayGraph::induced(const std::vector<OverlayIndex>& nodes) const
   return sub;
 }
 
-std::vector<OverlayIndex> OverlayGraph::instances_of(Sid sid) const {
+const std::vector<OverlayIndex>& OverlayGraph::instances_of(Sid sid) const {
+  static const std::vector<OverlayIndex> kNone;
   const auto it = by_sid_.find(sid);
-  if (it == by_sid_.end()) return {};
-  return it->second;
+  return it == by_sid_.end() ? kNone : it->second;
 }
 
 std::optional<OverlayIndex> OverlayGraph::instance_at(net::Nid nid) const {

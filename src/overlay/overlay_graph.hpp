@@ -49,8 +49,8 @@ class OverlayGraph {
   }
   const std::vector<ServiceInstance>& instances() const noexcept { return instances_; }
 
-  /// All instances of a given service (possibly empty).
-  std::vector<OverlayIndex> instances_of(Sid sid) const;
+  /// All instances of a given service (possibly empty), in hosting order.
+  const std::vector<OverlayIndex>& instances_of(Sid sid) const;
 
   /// Instance hosted at `nid`, or nullopt.
   std::optional<OverlayIndex> instance_at(net::Nid nid) const;

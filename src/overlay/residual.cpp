@@ -90,9 +90,25 @@ double ResidualOverlay::underlay_residual(
 double ResidualOverlay::underlay_headroom(
     const ServiceFlowGraph& flow, const net::UnderlayRouting& routing,
     const net::UnderlyingNetwork& network) const {
+  // A running min over every link beneath every hop, repeats included: min
+  // is idempotent, so this is the min over distinct_underlay_links without
+  // building it, and no residual is below zero, so the first saturated link
+  // settles the answer.
   double headroom = std::numeric_limits<double>::infinity();
-  for (const auto& [from, to] : distinct_underlay_links(flow, base(), routing))
-    headroom = std::min(headroom, underlay_residual(from, to, network));
+  for (const FlowEdge& edge : flow.edges()) {
+    for (std::size_t i = 0; i + 1 < edge.overlay_path.size(); ++i) {
+      const graph::RoutingTree::PathView route =
+          routing.route_view(base().instance(edge.overlay_path[i]).nid,
+                             base().instance(edge.overlay_path[i + 1]).nid);
+      if (route.empty())
+        throw std::invalid_argument("underlay_headroom: overlay hop unroutable");
+      for (std::size_t h = 0; h + 1 < route.size(); ++h) {
+        headroom = std::min(headroom,
+                            underlay_residual(route[h], route[h + 1], network));
+        if (headroom == 0.0) return headroom;
+      }
+    }
+  }
   return headroom;
 }
 

@@ -107,6 +107,8 @@ class ResidualOverlay {
   /// overlay hops route across (+infinity when it crosses none).  Overlay
   /// headroom needs no such query — a flow solved on the residual graph has
   /// bottleneck <= residual on every overlay link it uses by construction.
+  /// Allocates nothing and stops at the first saturated link; throws
+  /// std::invalid_argument on an unroutable hop met before it.
   double underlay_headroom(const ServiceFlowGraph& flow,
                            const net::UnderlayRouting& routing,
                            const net::UnderlyingNetwork& network) const;

@@ -55,23 +55,23 @@ overlay::ServiceRequirement parse_and_pin(const std::string& payload,
 std::string format_response(std::uint64_t sequence,
                             const core::AdmissionDecision& decision,
                             const core::Scenario& scenario) {
+  if (!decision.admitted) {
+    // Nearly every response: plain concatenation, no stream.
+    std::string out = "status: rejected\nsequence: ";
+    out += std::to_string(sequence);
+    out += decision.outcome.success
+               ? "\nreason: granted rate below the admission floor\n"
+               : "\nreason: no feasible service flow graph\n";
+    return out;
+  }
   std::ostringstream out;
   out.precision(17);
-  out << "status: " << (decision.admitted ? "admitted" : "rejected")
-      << "\nsequence: " << sequence << '\n';
-  if (decision.admitted) {
-    out << "rate: " << decision.rate
-        << "\nbandwidth: " << decision.outcome.bandwidth
-        << "\nlatency: " << decision.outcome.latency << "\nclamped: "
-        << (decision.rate < decision.outcome.bandwidth ? 1 : 0) << '\n'
-        << overlay::format_flow_graph(decision.outcome.graph,
-                                      scenario.overlay(), scenario.catalog);
-  } else {
-    out << "reason: "
-        << (decision.outcome.success ? "granted rate below the admission floor"
-                                     : "no feasible service flow graph")
-        << '\n';
-  }
+  out << "status: admitted\nsequence: " << sequence << "\nrate: " << decision.rate
+      << "\nbandwidth: " << decision.outcome.bandwidth
+      << "\nlatency: " << decision.outcome.latency << "\nclamped: "
+      << (decision.rate < decision.outcome.bandwidth ? 1 : 0) << '\n'
+      << overlay::format_flow_graph(decision.outcome.graph, scenario.overlay(),
+                                    scenario.catalog);
   return out.str();
 }
 
@@ -107,6 +107,9 @@ Server::Metrics::Metrics()
       internal_errors(obs::Registry::global().counter(
           "server_internal_errors_total",
           "requests answered 'status: error' by a commit-path exception")),
+      admitter_busy_us(obs::Registry::global().counter(
+          "server_admitter_busy_us_total",
+          "microseconds the admitter spent serving batches")),
       queue_peak(obs::Registry::global().gauge(
           "server_queue_depth_peak_total",
           "high-water mark of queued requirement frames")),
@@ -291,6 +294,9 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
 }
 
 void Server::admitter_loop() {
+  // Busy time below a whole microsecond carries into the next batch, so the
+  // counter does not drift low by a truncation per batch.
+  std::chrono::nanoseconds busy_carry{0};
   for (;;) {
     std::vector<QueuedFrame> batch;
     {
@@ -307,6 +313,7 @@ void Server::admitter_loop() {
     }
     // The drain emptied the queue: release readers parked on backpressure.
     queue_space_.notify_all();
+    const auto busy_start = std::chrono::steady_clock::now();
     try {
       serve_batch(std::move(batch));
     } catch (...) {
@@ -317,6 +324,11 @@ void Server::admitter_loop() {
       // eventual stop() drain) alive.
       metrics_.internal_errors.increment();
     }
+    busy_carry += std::chrono::steady_clock::now() - busy_start;
+    const auto busy_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(busy_carry);
+    metrics_.admitter_busy_us.add(static_cast<std::uint64_t>(busy_us.count()));
+    busy_carry -= busy_us;
   }
 }
 

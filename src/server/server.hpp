@@ -172,6 +172,7 @@ class Server {
     obs::Counter& accept_failures;
     obs::Counter& backpressure;
     obs::Counter& internal_errors;
+    obs::Counter& admitter_busy_us;
     obs::Gauge& queue_peak;
     obs::Histogram& latency;
     Metrics();

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "check/validate.hpp"
 #include "core/admission.hpp"
 #include "core/federator.hpp"
+#include "core/global_optimal.hpp"
 #include "core/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "overlay/residual.hpp"
@@ -298,6 +300,75 @@ std::vector<overlay::ServiceRequirement> batch_for(
   return requests;
 }
 
+/// Bit pattern of a double, so headroom comparisons are exact (they also
+/// tell +inf and a saturated 0.0 apart from anything near them).
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The reference headroom: the min of underlay_residual over the distinct
+/// underlay links beneath the flow.
+double min_over_distinct_links(const overlay::ResidualOverlay& view,
+                               const overlay::ServiceFlowGraph& flow,
+                               const core::Scenario& scenario) {
+  double min = std::numeric_limits<double>::infinity();
+  for (const auto& [from, to] :
+       overlay::distinct_underlay_links(flow, view.base(), *scenario.routing))
+    min = std::min(min, view.underlay_residual(from, to, scenario.underlay));
+  return min;
+}
+
+TEST(ResidualOverlay, UnderlayHeadroomIsTheMinOverDistinctLinks) {
+  const core::WorkloadParams params = testing::small_workload(14);
+  const core::Scenario scenario = core::make_scenario(params, 11);
+  overlay::ResidualOverlay view = scenario.view;
+  const auto headroom = [&](const overlay::ServiceFlowGraph& flow) {
+    return view.underlay_headroom(flow, *scenario.routing, scenario.underlay);
+  };
+
+  // A flow that crosses no link has unbounded headroom.
+  overlay::ServiceFlowGraph lone;
+  lone.assign(scenario.requirement.source(), 0);
+  EXPECT_EQ(bits(headroom(lone)),
+            bits(std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(bits(headroom(lone)), bits(min_over_distinct_links(view, lone, scenario)));
+
+  std::size_t shared = 0, saturated = 0;
+  const auto requests = batch_for(scenario, params, 60, 11);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto flow =
+        core::optimal_flow_graph(view.graph(), requests[i], view.routing());
+    if (!flow) continue;
+    std::size_t crossings = 0;
+    for (const overlay::FlowEdge& edge : flow->edges())
+      for (std::size_t h = 0; h + 1 < edge.overlay_path.size(); ++h)
+        crossings += scenario.routing
+                         ->route_view(view.base().instance(edge.overlay_path[h]).nid,
+                                      view.base().instance(edge.overlay_path[h + 1]).nid)
+                         .size() - 1;
+    if (crossings >
+        overlay::distinct_underlay_links(*flow, view.base(), *scenario.routing).size())
+      ++shared;  // some underlay link lies beneath two hops
+
+    const double before = headroom(*flow);
+    EXPECT_EQ(bits(before), bits(min_over_distinct_links(view, *flow, scenario)))
+        << "request " << i;
+    if (before == 0.0) {
+      ++saturated;
+      continue;
+    }
+    // Alternately grant half and all of the headroom: a full grant saturates
+    // the tightest link, so the same flow then stops at it.
+    view.admit(*flow, i % 2 == 0 ? before / 2.0 : before, scenario.routing.get());
+    const double after = headroom(*flow);
+    EXPECT_EQ(bits(after), bits(min_over_distinct_links(view, *flow, scenario)))
+        << "request " << i;
+    if (i % 2 == 1) {
+      EXPECT_EQ(after, 0.0) << "request " << i;
+    }
+  }
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(saturated, 0u);
+}
+
 std::pair<std::size_t, double> batch_value(const core::AdmissionResult& r) {
   return {r.admitted_count(), r.total_rate()};
 }
@@ -405,8 +476,11 @@ TEST(AdmissionSequence, ChargedUnderlayClampsGrantedRates) {
       scenario.view.base(), scenario.underlay, scenario.routing.get(),
       result.view.admitted());
   EXPECT_TRUE(conservation.ok()) << conservation.to_string();
-  for (const core::AdmissionDecision& d : result.decisions)
-    if (d.admitted) EXPECT_LE(d.rate, d.outcome.bandwidth);
+  for (const core::AdmissionDecision& d : result.decisions) {
+    if (d.admitted) {
+      EXPECT_LE(d.rate, d.outcome.bandwidth);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

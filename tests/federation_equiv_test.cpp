@@ -146,6 +146,39 @@ TEST(FederationEquivalence, TieHeavyDagMatchesLegacyExactly) {
   EXPECT_GT(fresh_stats.table_bytes, 0u);
 }
 
+// A quality source that itself solves, on the same thread, while the outer
+// solve holds its workspace: the nested solve must get scratch of its own, or
+// it would overwrite the outer search's shape and tables mid-fill.
+TEST(FederationEquivalence, ReentrantSolveKeepsTheOuterWorkspaceIntact) {
+  const OverlayGraph ov = tie_overlay();
+  const graph::AllPairsShortestWidest routing(ov.graph());
+  ServiceRequirement outer;  // the tie-heavy diamond
+  outer.add_edge(0, 1);
+  outer.add_edge(0, 2);
+  outer.add_edge(1, 3);
+  outer.add_edge(2, 3);
+  ServiceRequirement inner;  // a chain of another shape
+  inner.add_edge(0, 2);
+  inner.add_edge(2, 3);
+  const auto inner_alone = optimal_flow_graph(ov, inner, routing);
+  ASSERT_TRUE(inner_alone);
+
+  std::size_t nested = 0;
+  const EdgeQualityFn solving_quality = [&](overlay::Sid, overlay::OverlayIndex u,
+                                            overlay::Sid, overlay::OverlayIndex v) {
+    EXPECT_EQ(optimal_flow_graph(ov, inner, routing), inner_alone);
+    ++nested;
+    return routing.quality(u, v);
+  };
+  const auto fresh = optimal_flow_graph_custom(ov, outer, solving_quality,
+                                               routing_edge_path(routing));
+  const auto legacy = optimal_flow_graph_legacy(ov, outer, routing);
+  ASSERT_TRUE(fresh);
+  ASSERT_TRUE(legacy);
+  EXPECT_EQ(*fresh, *legacy);
+  EXPECT_GT(nested, 0u);
+}
+
 // --- Property sweeps: ~200 fuzzer-seeded Waxman scenarios -------------------
 //
 // Each seed draws its own workload dimensions (network size, chain length)
@@ -216,6 +249,72 @@ TEST_P(OptimalEquivalence, BoundedSearchMatchesLegacyBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimalEquivalence,
                          ::testing::Range<std::uint64_t>(0, 100));
+
+// --- Residual-view oracle ----------------------------------------------------
+//
+// The served setting: a seeded stream solved request by request on one
+// ResidualOverlay that every admit depletes, so most solves read routing
+// trees an admit left stale (repaired on first touch) and overlay links that
+// admits narrowed or dropped.  The production search must match the legacy
+// search graph for graph on every request, and the stream's summed search
+// statistics are pinned to the values the per-pair table fill produced, so a
+// kernel rewrite that changes the amount of search shows here.
+
+TEST(ResidualViewEquivalence, DepletedStreamMatchesLegacyRequestForRequest) {
+  WorkloadParams params = testing::small_workload(30);
+  params.service_type_count = 6;
+  const Scenario scenario = make_scenario(params, 29);
+  std::vector<overlay::Sid> sids;
+  for (std::size_t t = 0; t < params.service_type_count; ++t)
+    sids.push_back(static_cast<overlay::Sid>(t));
+
+  const auto repairs = [] {
+    return obs::Registry::global().counter("routing_lazy_repairs_total").value();
+  };
+  const std::uint64_t repairs_before = repairs();
+  overlay::ResidualOverlay view = scenario.view;
+  std::size_t solved = 0, admitted = 0, explored = 0, pruned = 0, incumbent = 0;
+  for (std::size_t i = 0; i < 400; ++i) {
+    util::Rng rng(util::derive_seed(0x5E7u, i));
+    ServiceRequirement r =
+        overlay::generate_requirement(params.requirement, sids, rng);
+    const auto sources = view.graph().instances_of(r.source());
+    ASSERT_FALSE(sources.empty());
+    r.pin(r.source(),
+          view.graph().instance(sources[rng.uniform_index(sources.size())]).nid);
+
+    // Production first, so it is the search that meets the stale trees.
+    OptimalStats fresh_stats, legacy_stats;
+    const auto fresh =
+        optimal_flow_graph(view.graph(), r, view.routing(), &fresh_stats);
+    const auto legacy =
+        optimal_flow_graph_legacy(view.graph(), r, view.routing(), &legacy_stats);
+    ASSERT_EQ(fresh.has_value(), legacy.has_value()) << "request " << i;
+    explored += fresh_stats.nodes_explored;
+    pruned += fresh_stats.nodes_pruned;
+    incumbent += fresh_stats.incumbent_node;
+    if (!fresh) continue;
+    ++solved;
+    ASSERT_EQ(*fresh, *legacy) << "request " << i;
+
+    // Grant an eighth of the flow's bandwidth, clamped to physical headroom:
+    // links narrow over several admits before they drop.
+    const double rate =
+        std::min(fresh->bottleneck_bandwidth() / 8.0,
+                 view.underlay_headroom(*fresh, *scenario.routing,
+                                        scenario.underlay));
+    if (rate > 0.0) {
+      view.admit(*fresh, rate, scenario.routing.get());
+      ++admitted;
+    }
+  }
+  EXPECT_GT(repairs(), repairs_before);  // stale trees were repaired mid-stream
+  EXPECT_EQ(solved, 400u);
+  EXPECT_EQ(admitted, 46u);
+  EXPECT_EQ(explored, 21418u);
+  EXPECT_EQ(pruned, 72718u);
+  EXPECT_EQ(incumbent, 10647u);
+}
 
 // --- Search-node budget ------------------------------------------------------
 //

@@ -41,7 +41,9 @@ TEST(FederationTrace, RecordsTheWholeTimeline) {
     for (const TraceEvent& dispatch : trace.events()) {
       if (dispatch.kind != Kind::kDispatched || dispatch.subject != pin.subject)
         continue;
-      if (dispatch.node == pin.node) EXPECT_LE(pin.at_ms, dispatch.at_ms);
+      if (dispatch.node == pin.node) {
+        EXPECT_LE(pin.at_ms, dispatch.at_ms);
+      }
     }
   }
 }

@@ -63,8 +63,9 @@ TEST(MeshAugmentation, RespectsCompatibilityAndLatencyCut) {
       augment_mesh(fx.overlay, *fx.routing, any_pair(), params, rng);
   for (const graph::Edge& e : augmented.graph().edges()) {
     EXPECT_NE(augmented.instance(e.from).sid, augmented.instance(e.to).sid);
-    if (!fx.overlay.graph().has_edge(e.from, e.to))
+    if (!fx.overlay.graph().has_edge(e.from, e.to)) {
       EXPECT_LE(e.metrics.latency, 1.5);
+    }
   }
 }
 

@@ -43,7 +43,8 @@ TEST(RequirementRoundTrip, PreservesServiceInsertionOrder) {
 TEST(ScenarioRoundTrip, FormatThenParseIsIdentity) {
   core::Scenario scenario =
       core::make_scenario(sflow::testing::small_workload(14), 24);
-  ScenarioFile file{{scenario.underlay, scenario.overlay()}, scenario.requirement};
+  ScenarioFile file{
+      {scenario.underlay, scenario.overlay()}, scenario.requirement, {}, {}};
 
   ServiceCatalog catalog = scenario.catalog;
   const std::string text = format_scenario(file, catalog);
@@ -83,7 +84,7 @@ TEST(ScenarioRoundTrip, PreservesBatchRequestsAndAdmittedFlows) {
   ASSERT_TRUE(flow);
 
   ScenarioFile file{{scenario.underlay, scenario.overlay()},
-                    scenario.requirement};
+                    scenario.requirement, {}, {}};
   file.requests.push_back(scenario.requirement);
   file.requests.push_back(scenario.requirement);
   file.admitted.push_back({*flow, 3.25});
@@ -114,7 +115,7 @@ TEST(ScenarioParser, RejectsMalformedAdmittedSections) {
   core::Scenario scenario =
       core::make_scenario(sflow::testing::small_workload(12), 26);
   ScenarioFile file{{scenario.underlay, scenario.overlay()},
-                    scenario.requirement};
+                    scenario.requirement, {}, {}};
   ServiceCatalog catalog = scenario.catalog;
   const std::string text = format_scenario(file, catalog);
 
@@ -219,9 +220,10 @@ TEST(FlowGraphParser, RejectsInconsistentDocuments) {
       "assign " + catalog.name((hosted + 1) % 5) + " @ " + std::to_string(nid0) +
       "\n";
   // Only throws when the named service differs from the hosted one.
-  if (catalog.name((hosted + 1) % 5) != catalog.name(hosted))
+  if (catalog.name((hosted + 1) % 5) != catalog.name(hosted)) {
     EXPECT_THROW(parse_flow_graph(wrong_service, scenario.overlay(), catalog),
                  std::invalid_argument);
+  }
 }
 
 class SerializationSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -294,12 +295,50 @@ TEST(Server, RejectsWhenGrantedRateFallsBelowTheFloor) {
 
   const std::string frame = "S0 -> S1\nS1 -> S2\n";
   const std::string response = request(pair.fds[1], frame);
-  ASSERT_TRUE(starts_with(response, "status: rejected")) << response;
-  EXPECT_NE(response.find("below the admission floor"), std::string::npos);
+  EXPECT_EQ(response,
+            "status: rejected\nsequence: 0\n"
+            "reason: granted rate below the admission floor\n");
 
   server->stop();
   EXPECT_EQ(server->view().generation(), 0u);
   expect_replay_identical(*server, {{{frame}, {response}}});
+}
+
+TEST(Server, FormatsRejectionsByteForByte) {
+  const core::Scenario scenario = make_hosting_scenario(test_hosting());
+  core::AdmissionDecision decision;  // infeasible: the solve found nothing
+  EXPECT_EQ(format_response(std::numeric_limits<std::uint64_t>::max(), decision,
+                            scenario),
+            "status: rejected\nsequence: 18446744073709551615\n"
+            "reason: no feasible service flow graph\n");
+  decision.outcome.success = true;  // solved, but below the floor
+  EXPECT_EQ(format_response(42, decision, scenario),
+            "status: rejected\nsequence: 42\n"
+            "reason: granted rate below the admission floor\n");
+}
+
+// The admitter's busy time grows with the requests it serves and never
+// exceeds the wall time they took: /metrics can tell a slower admitter from
+// a stalled host.
+TEST(Server, CountsAdmitterBusyTime) {
+  obs::Counter& busy_us =
+      obs::Registry::global().counter("server_admitter_busy_us_total");
+  const std::uint64_t before = busy_us.value();
+  const auto start = std::chrono::steady_clock::now();
+  auto server = make_server();
+  SocketPair pair;
+  server->adopt_connection(pair.release(0));
+  for (int k = 0; k < 20; ++k)
+    request(pair.fds[1], k % 2 == 0 ? "S0 -> S1\nS1 -> S2\n" : "S0 -> S2\n");
+  const std::string metrics = request(pair.fds[1], "GET /metrics");
+  server->stop();
+  const auto wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+
+  EXPECT_NE(metrics.find("server_admitter_busy_us_total"), std::string::npos);
+  EXPECT_GT(busy_us.value(), before);
+  EXPECT_LE(busy_us.value() - before, static_cast<std::uint64_t>(wall_us));
 }
 
 // A daemon built from the default ServerConfig, as sflowd without

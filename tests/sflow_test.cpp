@@ -92,8 +92,11 @@ TEST(SflowLocalCompute, RespectsExistingPins) {
       {target_sid, scenario.overlay().instance(forced).nid}};
   const LocalDecision decision = sflow_local_compute(
       scenario.overlay(), scenario.overlay_routing(), *self, scenario.requirement, pins);
-  for (const auto& [sid, instance] : decision.forward)
-    if (sid == target_sid) EXPECT_EQ(instance, forced);
+  for (const auto& [sid, instance] : decision.forward) {
+    if (sid == target_sid) {
+      EXPECT_EQ(instance, forced);
+    }
+  }
   // A pinned service is not re-pinned.
   EXPECT_FALSE(decision.new_pins.contains(target_sid));
 }
